@@ -23,9 +23,18 @@ pub struct BatchGrads {
 /// A model over embedding rows.
 ///
 /// Implementations may hold dense parameters (e.g. an MLP) behind interior
-/// mutability; [`EmbeddingModel::end_step`] is called exactly once per step
-/// by the engine's coordinator (single-threaded) to apply dense updates in
-/// a deterministic GPU order.
+/// mutability. The concurrency contract:
+///
+/// * [`EmbeddingModel::forward_backward`] runs concurrently for all GPUs of
+///   a step and may only *read* dense parameters (stashing its own GPU's
+///   dense gradients is fine).
+/// * [`EmbeddingModel::end_step`] is the sole writer of dense parameters.
+///   The engine's coordinator calls it exactly once per step, after every
+///   GPU's `forward_backward` of that step and before any of the next, to
+///   apply the stashed dense updates in a deterministic GPU order.
+///
+/// Under this contract every `forward_backward` sees the same parameters
+/// as in the serial oracle, so concurrent training stays bit-identical.
 pub trait EmbeddingModel: Send + Sync {
     /// Embedding dimension.
     fn dim(&self) -> usize;

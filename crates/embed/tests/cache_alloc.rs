@@ -11,16 +11,27 @@
 
 use frugal_embed::{CachePolicy, GpuCache, InsertOutcome};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A pass-through allocator that counts allocations.
+/// A pass-through allocator that counts the allocations a thread makes
+/// while its counter is armed (see [`count_allocs`]). The count is per
+/// thread, so tests running in parallel in this binary cannot add to each
+/// other's measurement.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(n)` while armed: `n` allocations so far on this thread.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot is gone while the thread shuts down.
+        let _ = ALLOCS.try_with(|c| {
+            if let Some(n) = c.get() {
+                c.set(Some(n + 1));
+            }
+        });
         unsafe { System.alloc(layout) }
     }
 
@@ -31,6 +42,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` with this thread's allocation counter armed and returns its
+/// result with the number of allocations it made.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.set(Some(0));
+    let out = f();
+    let n = ALLOCS.replace(None).expect("counter armed");
+    (out, n)
+}
 
 const DIM: usize = 16;
 const CAP: usize = 64;
@@ -84,13 +104,10 @@ fn steady_state_fill_loop_never_allocates() {
             let _ = cache.get(&(UNIVERSE + k));
         }
         churn(&mut cache, &row, 4);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let filled = churn(&mut cache, &row, 16);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let (filled, allocs) = count_allocs(|| churn(&mut cache, &row, 16));
         std::hint::black_box(filled);
         assert_eq!(
-            after - before,
-            0,
+            allocs, 0,
             "{policy:?} allocated during steady-state churn ({filled} fills)"
         );
     }
@@ -118,17 +135,17 @@ fn oracle_fill_loop_never_allocates_once_plans_are_fed() {
         cache.begin_step(s);
         churn_step(&mut cache, &feeds[s as usize], &row);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let mut filled = 0u64;
-    for s in warm..steps {
-        cache.begin_step(s);
-        filled += churn_step(&mut cache, &feeds[s as usize], &row);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (filled, allocs) = count_allocs(|| {
+        let mut filled = 0u64;
+        for s in warm..steps {
+            cache.begin_step(s);
+            filled += churn_step(&mut cache, &feeds[s as usize], &row);
+        }
+        filled
+    });
     std::hint::black_box(filled);
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "oracle allocated during fed steady-state churn ({filled} fills)"
     );
 }

@@ -6,22 +6,24 @@
 //! DNN") and pushed through a real [`Mlp`] with binary-cross-entropy loss
 //! against the trace's synthetic click labels.
 //!
-//! The MLP is shared across the simulated GPUs; each GPU's dense gradients
-//! are stashed during backward and applied once per step in GPU-index order
-//! by [`EmbeddingModel::end_step`] — a deterministic stand-in for the dense
-//! all-reduce, whose communication cost is modeled via
-//! [`EmbeddingModel::dense_param_bytes`].
+//! The MLP is shared across the simulated GPUs behind a read-write lock.
+//! Every GPU's `forward_backward` only reads it, so the trainers of a step
+//! run their dense math at the same time, as data-parallel GPUs do. Each
+//! GPU's dense gradients are stashed during backward and applied once per
+//! step in GPU-index order by [`EmbeddingModel::end_step`], the MLP's sole
+//! writer — a deterministic stand-in for the dense all-reduce, whose
+//! communication cost is modeled via [`EmbeddingModel::dense_param_bytes`].
 
 use frugal_core::{BatchGrads, EmbeddingModel};
 use frugal_data::{Key, RecTrace};
 use frugal_tensor::{bce_with_logits, LinearGrad, Matrix, Mlp};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 /// DLRM over a recommendation trace.
 #[derive(Debug)]
 pub struct Dlrm {
     trace: RecTrace,
-    mlp: Mutex<Mlp>,
+    mlp: RwLock<Mlp>,
     dense_stash: Mutex<Vec<Option<Vec<LinearGrad>>>>,
     dims: Vec<usize>,
     dense_lr: f32,
@@ -63,7 +65,7 @@ impl Dlrm {
         );
         let n = trace.n_gpus();
         Dlrm {
-            mlp: Mutex::new(Mlp::new(dims, seed)),
+            mlp: RwLock::new(Mlp::new(dims, seed)),
             dense_stash: Mutex::new((0..n).map(|_| None).collect()),
             dims: dims.to_vec(),
             trace,
@@ -110,7 +112,7 @@ impl Dlrm {
                 *v /= nf as f32;
             }
         }
-        let mlp = self.mlp.lock();
+        let mlp = self.mlp.read();
         let pass = mlp.forward(&pooled);
         pass.output()
             .as_slice()
@@ -160,7 +162,7 @@ impl EmbeddingModel for Dlrm {
             }
         }
 
-        let mlp = self.mlp.lock();
+        let mlp = self.mlp.read();
         let pass = mlp.forward(&pooled);
         let logits: Vec<f32> = pass.output().as_slice().to_vec();
         let (loss, d_logits) = bce_with_logits(&logits, &labels);
@@ -187,7 +189,7 @@ impl EmbeddingModel for Dlrm {
             return;
         }
         let mut stash = self.dense_stash.lock();
-        let mut mlp = self.mlp.lock();
+        let mut mlp = self.mlp.write();
         // Apply per-GPU dense gradients in GPU index order (the
         // deterministic stand-in for an all-reduce + single update).
         for slot in stash.iter_mut() {
@@ -219,6 +221,7 @@ impl EmbeddingModel for Dlrm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::two_gpu_steps;
     use frugal_data::RecDatasetSpec;
 
     fn small_trace(n_gpus: usize) -> RecTrace {
@@ -292,6 +295,25 @@ mod tests {
         let probs = m.predict(&keys, &rows);
         assert_eq!(probs.len(), 16);
         assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
+    }
+
+    #[test]
+    fn concurrent_forward_backward_matches_sequential_bitwise() {
+        let dims = [8, 32, 16, 1];
+        let trace = small_trace(2);
+        let seq = Dlrm::new(trace.clone(), &dims, 0.05, 9, true);
+        let par = Dlrm::new(trace.clone(), &dims, 0.05, 9, true);
+        let keys = |s, g| trace.step_batch(s, g).keys;
+        assert_eq!(
+            two_gpu_steps(&seq, keys, 4, false),
+            two_gpu_steps(&par, keys, 4, true)
+        );
+        // Debug prints every f32 in its shortest round-trip form (signed
+        // zeros included), so equal text means equal parameter bits.
+        assert_eq!(
+            format!("{:?}", *seq.mlp.read()),
+            format!("{:?}", *par.mlp.read())
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!
 //! Entity embeddings live in the engines' host store; relation embeddings
 //! (a small table — 1.3 k–14.8 k rows) are dense parameters owned by the
-//! model, updated once per step in GPU order like DLRM's MLP.
+//! model behind a read-write lock, like DLRM's MLP: every GPU's
+//! `forward_backward` only reads them, concurrently, and
+//! [`EmbeddingModel::end_step`] alone updates them once per step in GPU
+//! order.
 //!
 //! Scores follow a *distance* convention (lower = better match), so
 //! similarity scorers (DistMult/ComplEx/SimplE) are negated before the
@@ -16,7 +19,7 @@ use frugal_core::{BatchGrads, EmbeddingModel};
 use frugal_data::{Key, KgTrace};
 use frugal_embed::initial_value;
 use frugal_tensor::margin_ranking;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 
 /// Which triple scorer to use.
@@ -64,7 +67,7 @@ pub struct KgModel {
     trace: KgTrace,
     dim: usize,
     margin: f32,
-    relations: Mutex<Vec<f32>>,
+    relations: RwLock<Vec<f32>>,
     rel_stash: Mutex<Vec<Option<RelGrads>>>,
     rel_lr: f32,
     compute: bool,
@@ -99,7 +102,7 @@ impl KgModel {
             scorer,
             dim,
             margin: 1.0,
-            relations: Mutex::new(relations),
+            relations: RwLock::new(relations),
             rel_stash: Mutex::new((0..n_gpus).map(|_| None).collect()),
             rel_lr: 0.05,
             trace,
@@ -117,30 +120,30 @@ impl KgModel {
         &self.trace
     }
 
-    /// Distance score of one triple (lower = better).
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+    /// Distance scores of the `N` triples `(h, r, ts[n])` (lower = better).
+    ///
+    /// Each score is one accumulator folding its terms in ascending index
+    /// order, exactly as scoring the triple alone would; batching tails
+    /// only interleaves the `N` independent dependency chains, so it cannot
+    /// change a bit. TransE and DistMult start from `-0.0`, the neutral
+    /// element `f32`'s `Sum` folds from.
+    fn scores<const N: usize>(&self, h: &[f32], r: &[f32], ts: [&[f32]; N]) -> [f32; N] {
         let d = self.dim;
         let k = d / 2;
         match self.scorer {
-            KgScorer::TransE => (0..d).map(|i| (h[i] + r[i] - t[i]).abs()).sum(),
-            KgScorer::DistMult => -(0..d).map(|i| h[i] * r[i] * t[i]).sum::<f32>(),
-            KgScorer::ComplEx => {
-                let mut s = 0.0;
-                for i in 0..k {
-                    let (hr, hi) = (h[i], h[k + i]);
-                    let (rr, ri) = (r[i], r[k + i]);
-                    let (tr, ti) = (t[i], t[k + i]);
-                    s += hr * rr * tr + hi * ri * tr + hr * ri * ti - hi * rr * ti;
-                }
-                -s
-            }
-            KgScorer::SimplE => {
-                let mut s = 0.0;
-                for i in 0..k {
-                    s += h[i] * r[i] * t[k + i] + t[i] * r[k + i] * h[k + i];
-                }
-                -0.5 * s
-            }
+            KgScorer::TransE => fold_terms(d, -0.0, ts, |i, t| (h[i] + r[i] - t[i]).abs()),
+            KgScorer::DistMult => fold_terms(d, -0.0, ts, |i, t| h[i] * r[i] * t[i]).map(|s| -s),
+            KgScorer::ComplEx => fold_terms(k, 0.0, ts, |i, t| {
+                let (hr, hi) = (h[i], h[k + i]);
+                let (rr, ri) = (r[i], r[k + i]);
+                let (tr, ti) = (t[i], t[k + i]);
+                hr * rr * tr + hi * ri * tr + hr * ri * ti - hi * rr * ti
+            })
+            .map(|s| -s),
+            KgScorer::SimplE => fold_terms(k, 0.0, ts, |i, t| {
+                h[i] * r[i] * t[k + i] + t[i] * r[k + i] * h[k + i]
+            })
+            .map(|s| -0.5 * s),
         }
     }
 
@@ -201,6 +204,26 @@ impl KgModel {
     }
 }
 
+/// Negatives scored together by [`KgModel::scores`].
+const SCORE_LANES: usize = 8;
+
+/// `[init + Σᵢ term(i, ts[n])]` for each `n`, every sum taken in ascending
+/// `i` with its own accumulator.
+fn fold_terms<const N: usize>(
+    len: usize,
+    init: f32,
+    ts: [&[f32]; N],
+    term: impl Fn(usize, &[f32]) -> f32,
+) -> [f32; N] {
+    let mut acc = [init; N];
+    for i in 0..len {
+        for (a, t) in acc.iter_mut().zip(ts) {
+            *a += term(i, t);
+        }
+    }
+    acc
+}
+
 impl EmbeddingModel for KgModel {
     fn dim(&self) -> usize {
         self.dim
@@ -220,21 +243,36 @@ impl EmbeddingModel for KgModel {
         let m = batch.negatives.len();
         assert_eq!(keys.len(), 2 * b + m, "key layout mismatch");
 
-        let rel_table = self.relations.lock();
+        let rel_table = self.relations.read();
         let mut emb_grads = vec![0.0f32; rows.len()];
         let mut rel_grads: HashMap<Key, Vec<f32>> = HashMap::new();
         let mut rel_order: Vec<Key> = Vec::new();
         let mut loss_sum = 0.0f32;
+        // Scratch for one (head, other) gradient pair: head/tail/negative
+        // slices of emb_grads alias the same Vec, so direct splits won't
+        // do. Zeroed before every use, so each pair sums from 0.0 as a
+        // fresh buffer would.
+        let mut g_head = vec![0.0f32; d];
+        let mut g_other = vec![0.0f32; d];
+        let mut negs = vec![0.0f32; m];
+        let neg_row = |j: usize| &rows[(2 * b + j) * d..(2 * b + j + 1) * d];
 
         for i in 0..b {
             let h = &rows[i * d..(i + 1) * d];
             let t = &rows[(b + i) * d..(b + i + 1) * d];
             let rel = batch.relations[i];
             let r = &rel_table[rel as usize * d..(rel as usize + 1) * d];
-            let pos = self.score(h, r, t);
-            let negs: Vec<f32> = (0..m)
-                .map(|j| self.score(h, r, &rows[(2 * b + j) * d..(2 * b + j + 1) * d]))
-                .collect();
+            let [pos] = self.scores(h, r, [t]);
+            for j in (0..m).step_by(SCORE_LANES) {
+                if j + SCORE_LANES <= m {
+                    let ts: [&[f32]; SCORE_LANES] = std::array::from_fn(|n| neg_row(j + n));
+                    negs[j..j + SCORE_LANES].copy_from_slice(&self.scores(h, r, ts));
+                } else {
+                    for (jj, s) in negs.iter_mut().enumerate().skip(j) {
+                        [*s] = self.scores(h, r, [neg_row(jj)]);
+                    }
+                }
+            }
             let (loss, d_pos, d_negs) = margin_ranking(pos, &negs, self.margin);
             loss_sum += loss;
 
@@ -242,30 +280,26 @@ impl EmbeddingModel for KgModel {
                 rel_order.push(rel);
                 vec![0.0; d]
             });
-            if d_pos != 0.0 {
-                // Accumulate into scratch buffers: head/tail/negative slices
-                // of emb_grads alias the same Vec, so direct splits won't do.
-                let (h0, t0) = (i * d, (b + i) * d);
-                let mut gh_buf = vec![0.0f32; d];
-                let mut gt_buf = vec![0.0f32; d];
-                self.accumulate(h, r, t, d_pos, &mut gh_buf, gr, &mut gt_buf);
-                for x in 0..d {
-                    emb_grads[h0 + x] += gh_buf[x];
-                    emb_grads[t0 + x] += gt_buf[x];
-                }
-            }
-            for (j, &dn) in d_negs.iter().enumerate() {
-                if dn == 0.0 {
+            // The positive tail first, then every negative, each adding its
+            // (head, other) gradient pair into emb_grads.
+            let pairs = std::iter::once((b + i, d_pos))
+                .chain(d_negs.iter().enumerate().map(|(j, &dn)| (2 * b + j, dn)));
+            for (other, coeff) in pairs {
+                if coeff == 0.0 {
                     continue;
                 }
-                let neg = &rows[(2 * b + j) * d..(2 * b + j + 1) * d];
-                let (h0, n0) = (i * d, (2 * b + j) * d);
-                let mut gh_buf = vec![0.0f32; d];
-                let mut gn_buf = vec![0.0f32; d];
-                self.accumulate(h, r, neg, dn, &mut gh_buf, gr, &mut gn_buf);
-                for x in 0..d {
-                    emb_grads[h0 + x] += gh_buf[x];
-                    emb_grads[n0 + x] += gn_buf[x];
+                g_head.fill(0.0);
+                g_other.fill(0.0);
+                let o = &rows[other * d..(other + 1) * d];
+                self.accumulate(h, r, o, coeff, &mut g_head, gr, &mut g_other);
+                for (e, &g) in emb_grads[i * d..(i + 1) * d].iter_mut().zip(&g_head) {
+                    *e += g;
+                }
+                for (e, &g) in emb_grads[other * d..(other + 1) * d]
+                    .iter_mut()
+                    .zip(&g_other)
+                {
+                    *e += g;
                 }
             }
         }
@@ -290,7 +324,7 @@ impl EmbeddingModel for KgModel {
             return;
         }
         let mut stash = self.rel_stash.lock();
-        let mut rel_table = self.relations.lock();
+        let mut rel_table = self.relations.write();
         let d = self.dim;
         for slot in stash.iter_mut() {
             if let Some(list) = slot.take() {
@@ -325,6 +359,7 @@ impl EmbeddingModel for KgModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::two_gpu_steps;
     use frugal_data::KgDatasetSpec;
 
     fn small_trace(dim: u32) -> KgTrace {
@@ -423,9 +458,94 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_forward_backward_matches_sequential_bitwise() {
+        let mut spec = KgDatasetSpec::fb15k().scaled_to_entities(200);
+        spec.embedding_dim = 6;
+        spec.neg_sample_size = 4;
+        let trace = KgTrace::new(spec, 8, 2, 5).unwrap();
+        let seq = KgModel::new(KgScorer::TransE, trace.clone(), 3, true);
+        let par = KgModel::new(KgScorer::TransE, trace.clone(), 3, true);
+        let keys = |s, g| trace.step_batch(s, g).entity_keys().collect();
+        assert_eq!(
+            two_gpu_steps(&seq, keys, 4, false),
+            two_gpu_steps(&par, keys, 4, true)
+        );
+        let bits =
+            |m: &KgModel| -> Vec<u32> { m.relations.read().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&seq), bits(&par));
+    }
+
+    #[test]
     #[should_panic(expected = "even dimension")]
     fn complex_rejects_odd_dim() {
         let _ = KgModel::new(KgScorer::ComplEx, small_trace(5), 3, true);
+    }
+
+    /// One triple's score written as plain per-triple loops: `sum()` for
+    /// TransE/DistMult, a `0.0`-seeded accumulator for ComplEx/SimplE.
+    fn reference_score(scorer: KgScorer, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+        let d = h.len();
+        let k = d / 2;
+        match scorer {
+            KgScorer::TransE => (0..d).map(|i| (h[i] + r[i] - t[i]).abs()).sum(),
+            KgScorer::DistMult => -(0..d).map(|i| h[i] * r[i] * t[i]).sum::<f32>(),
+            KgScorer::ComplEx => {
+                let mut s = 0.0;
+                for i in 0..k {
+                    let (hr, hi) = (h[i], h[k + i]);
+                    let (rr, ri) = (r[i], r[k + i]);
+                    let (tr, ti) = (t[i], t[k + i]);
+                    s += hr * rr * tr + hi * ri * tr + hr * ri * ti - hi * rr * ti;
+                }
+                -s
+            }
+            KgScorer::SimplE => {
+                let mut s = 0.0;
+                for i in 0..k {
+                    s += h[i] * r[i] * t[k + i] + t[i] * r[k + i] * h[k + i];
+                }
+                -0.5 * s
+            }
+        }
+    }
+
+    #[test]
+    fn batched_scores_match_per_triple_scores_bitwise() {
+        let d = 6;
+        // Values with signed zeros mixed in, so zero-sum cases show.
+        let val = |i: usize| match i % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((i * 37 + 11) % 17) as f32 / 17.0 - 0.5,
+        };
+        let tails: Vec<Vec<f32>> = (0..SCORE_LANES)
+            .map(|n| (0..d).map(|i| val(i * (n + 2) + n)).collect())
+            .chain([vec![0.0; d], vec![-0.0; d]])
+            .collect();
+        // A mixed (h, r), and an all-positive one whose products with the
+        // `-0.0` tail are all `-0.0`, which pins each sum's starting value.
+        let heads_rels = [
+            (
+                (0..d).map(val).collect(),
+                (0..d).map(|i| val(i + 3)).collect(),
+            ),
+            (vec![0.5f32; d], vec![0.25f32; d]),
+        ];
+        for scorer in KgScorer::all() {
+            let m = KgModel::new(scorer, small_trace(d as u32), 3, true);
+            for (h, r) in &heads_rels {
+                let want: Vec<u32> = tails
+                    .iter()
+                    .map(|t| reference_score(scorer, h, r, t).to_bits())
+                    .collect();
+                let lanes: [&[f32]; SCORE_LANES] = std::array::from_fn(|n| &tails[n][..]);
+                let batched = m.scores(h, r, lanes).map(f32::to_bits);
+                assert_eq!(batched[..], want[..SCORE_LANES], "{}", scorer.name());
+                for (t, &w) in tails.iter().zip(&want) {
+                    assert_eq!(m.scores(h, r, [t])[0].to_bits(), w, "{}", scorer.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Sized for the DNN part of embedding models (paper: a 512-512-256-1 MLP),
 //! where the heavy lifting is batched matrix multiplication. Deliberately
-//! dependency-free: correctness and determinism matter more here than peak
-//! FLOPS, because DNN *time* is accounted by the hardware cost model while
-//! this code provides the *numerics* for convergence tests.
+//! dependency-free. Determinism comes first: every product is summed in a
+//! fixed order, so engines that split a step across trainers stay
+//! bit-identical to the serial oracle. Speed comes second but still
+//! counts: DLRM's dense compute is most of a measured training step, so
+//! the kernels keep their inner loops contiguous and vectorisable.
 
 use std::fmt;
 
@@ -147,20 +149,37 @@ impl Matrix {
         out
     }
 
-    /// `self @ rhsᵀ` without materializing the transpose.
+    /// `self @ rhsᵀ`.
+    ///
+    /// Every output element is bit-identical to the dot product
+    /// `a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum::<f32>()`: it
+    /// starts at `-0.0` (the neutral element `f32`'s `Sum` folds from) and
+    /// adds the products in ascending `k`. The loop order differs from that
+    /// dot product only so the adds vectorise: `rhs` is copied once into a
+    /// transposed scratch and each `k` updates a whole output row. Unlike
+    /// [`Matrix::matmul`] there is no `a == 0.0` skip, which would change
+    /// the sign of zero results.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let m = rhs.rows;
+        let mut bt = vec![0.0f32; self.cols * m];
+        for j in 0..m {
+            for (k, &b) in rhs.row(j).iter().enumerate() {
+                bt[k * m + j] = b;
+            }
+        }
+        let mut out = Matrix::from_vec(self.rows, m, vec![-0.0; self.rows * m]);
         for i in 0..self.rows {
-            let a_row = self.row(i);
             let o_row = out.row_mut(i);
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = rhs.row(j);
-                *o = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
+            // `max(1)`: chunks must be non-empty; with m = 0 there is no output.
+            for (&a, bt_row) in self.row(i).iter().zip(bt.chunks_exact(m.max(1))) {
+                for (o, &b) in o_row.iter_mut().zip(bt_row) {
+                    *o += a * b;
+                }
             }
         }
         out
@@ -199,6 +218,8 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn matmul_known_values() {
@@ -222,6 +243,82 @@ mod tests {
         let b = Matrix::from_rows(2, 3, &[1., 1., 0., 0., 1., 1.]);
         let bt = Matrix::from_rows(3, 2, &[1., 0., 1., 1., 0., 1.]);
         assert_eq!(a.matmul_t(&b), a.matmul(&bt));
+    }
+
+    /// The dot product `matmul_t` promises to reproduce bit for bit.
+    fn reference_matmul_t(a: &Matrix, b: &Matrix) -> Vec<f32> {
+        let mut out = Vec::with_capacity(a.rows() * b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                out.push(a.row(i).iter().zip(b.row(j)).map(|(&x, &y)| x * y).sum());
+            }
+        }
+        out
+    }
+
+    /// Random values with a quarter of them replaced by `+0.0` / `-0.0`, so
+    /// products and partial sums hit every signed-zero case.
+    fn signed_zero_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| match rng.random_range(0u32..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.random_range(-1.0f32..1.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn assert_matmul_t_bits(a: &Matrix, b: &Matrix) {
+        let got: Vec<u32> = a
+            .matmul_t(b)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = reference_matmul_t(a, b)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(
+            got,
+            want,
+            "{}x{} · ({}x{})ᵀ differs from the dot-product sum",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        );
+    }
+
+    #[test]
+    fn matmul_t_is_bit_identical_to_dot_product_sum() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        // The three DLRM backward shapes (512-512-256 hidden widths), then
+        // small and degenerate ones: k = 1, k = 0 (empty sums), m = 1.
+        for (n, k, m) in [
+            (128, 512, 512),
+            (128, 256, 512),
+            (128, 512, 32),
+            (7, 13, 5),
+            (4, 1, 6),
+            (3, 0, 4),
+            (5, 9, 1),
+        ] {
+            let a = signed_zero_matrix(n, k, &mut rng);
+            let b = signed_zero_matrix(m, k, &mut rng);
+            assert_matmul_t_bits(&a, &b);
+        }
+    }
+
+    #[test]
+    fn matmul_t_keeps_signed_zeros() {
+        // All-zero products: the sum's sign depends on the starting value
+        // and on not skipping zero inputs.
+        let a = Matrix::from_rows(2, 2, &[-0.0, 0.0, -0.0, -0.0]);
+        let b = Matrix::from_rows(2, 2, &[1.0, 1.0, 1.0, -1.0]);
+        assert_matmul_t_bits(&a, &b);
+        assert_matmul_t_bits(&Matrix::zeros(2, 0), &Matrix::zeros(3, 0));
     }
 
     #[test]

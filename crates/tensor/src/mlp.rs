@@ -173,8 +173,7 @@ impl Mlp {
             if i > 0 {
                 let act = &pass.acts[i];
                 for r in 0..d_in.rows() {
-                    let a = act.row(r).to_vec();
-                    for (v, &av) in d_in.row_mut(r).iter_mut().zip(&a) {
+                    for (v, &av) in d_in.row_mut(r).iter_mut().zip(act.row(r)) {
                         if av <= 0.0 {
                             *v = 0.0;
                         }

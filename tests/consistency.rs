@@ -279,3 +279,96 @@ fn adagrad_matches_serial_reference() {
         );
     }
 }
+
+/// Every host-store value's bit pattern, key order.
+fn store_bits(store: &frugal::embed::HostStore) -> Vec<u32> {
+    (0..store.n_keys())
+        .flat_map(|k| store.row_vec(k))
+        .map(f32::to_bits)
+        .collect()
+}
+
+/// Trains a fresh model from `make` through the engine under each config
+/// and asserts every final host store equals a fresh model's serial run bit
+/// for bit, with zero invariant violations and races. A fresh model per
+/// run, because dense parameters carry over between runs.
+fn assert_engine_matches_serial<M: frugal::core::EmbeddingModel>(
+    name: &str,
+    workload: &dyn frugal::core::Workload,
+    make: impl Fn() -> M,
+    configs: Vec<FrugalConfig>,
+) {
+    let steps = configs[0].steps;
+    let (lr, seed) = (configs[0].lr, configs[0].seed);
+    let reference = store_bits(&train_serial(workload, &make(), steps, lr, seed).store);
+    for (i, cfg) in configs.into_iter().enumerate() {
+        let model = make();
+        let engine = FrugalEngine::new(cfg, workload.n_keys(), model.dim());
+        let report = engine.run(workload, &model);
+        assert_eq!(
+            report.violations, 0,
+            "{name} run {i}: invariant (2) violated"
+        );
+        assert_eq!(
+            report.races, 0,
+            "{name} run {i}: host-row data race detected"
+        );
+        assert!(
+            store_bits(engine.store()) == reference,
+            "{name} run {i} diverged from serial"
+        );
+    }
+}
+
+/// DLRM with a real MLP: the trainers run their dense forward/backward
+/// concurrently against read-shared parameters, and the result must still
+/// be the serial oracle's, bit for bit.
+#[test]
+fn dlrm_matches_serial_bitwise() {
+    use frugal::data::{RecDatasetSpec, RecTrace};
+    use frugal::models::Dlrm;
+    for n_gpus in [2usize, 4] {
+        let mut spec = RecDatasetSpec::avazu().scaled_to_ids(2_000);
+        spec.embedding_dim = 8;
+        let trace = RecTrace::new(spec, 32, n_gpus, 7).unwrap();
+        let mut cfg = frugal_cfg(n_gpus);
+        cfg.lr = 0.5;
+        let mut configs = vec![cfg.clone()];
+        if n_gpus == 4 {
+            configs.push(cfg.checked());
+        }
+        assert_engine_matches_serial(
+            &format!("dlrm-{n_gpus}gpu"),
+            &trace,
+            || Dlrm::new(trace.clone(), &[8, 32, 16, 1], 0.05, 3, true),
+            configs,
+        );
+    }
+}
+
+/// TransE with real scoring: relation embeddings are read-shared dense
+/// parameters, updated only in `end_step`. Twelve negatives per triple
+/// exercise both the batched scoring lanes and the remainder path.
+#[test]
+fn transe_matches_serial_bitwise() {
+    use frugal::data::{KgDatasetSpec, KgTrace};
+    use frugal::models::{KgModel, KgScorer};
+    for n_gpus in [2usize, 4] {
+        let mut spec = KgDatasetSpec::fb15k().scaled_to_entities(500);
+        spec.embedding_dim = 8;
+        spec.neg_sample_size = 12;
+        let trace = KgTrace::new(spec, 16, n_gpus, 11).unwrap();
+        let mut cfg = frugal_cfg(n_gpus);
+        cfg.lr = 0.03;
+        let mut configs = vec![cfg.clone()];
+        if n_gpus == 4 {
+            configs.push(cfg.checked());
+        }
+        assert_engine_matches_serial(
+            &format!("transe-{n_gpus}gpu"),
+            &trace,
+            || KgModel::new(KgScorer::TransE, trace.clone(), 5, true),
+            configs,
+        );
+    }
+}
