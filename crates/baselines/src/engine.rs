@@ -23,7 +23,7 @@ use frugal_core::{EmbeddingModel, GEntryStore, ShardMap, TrainReport, Workload};
 use frugal_data::Key;
 use frugal_embed::{CachePolicy, GpuCache, GradAggregator, HostStore, Sharding};
 use frugal_sim::{CostModel, HostPath, IterBreakdown, Nanos, RunStats, Topology};
-use frugal_telemetry::{Phase, SpanArgs, Telemetry};
+use frugal_telemetry::{LedgerPhase, SpanArgs, Telemetry};
 use std::collections::HashMap;
 
 /// Which baseline architecture to run.
@@ -205,13 +205,17 @@ impl BaselineEngine {
         let batch_per_gpu = workload.samples_per_step() / n as u64;
 
         for s in 0..cfg.steps {
+            // Ledger attribution: this thread's trainer phases and (via
+            // the cursor) its synchronous flush apply both book to `s`.
+            rec.set_step(s);
+            cfg.telemetry.ledger_advance(s);
             let mut merged = GradAggregator::new(dim);
             let mut loss_sum = 0.0f32;
             let mut it = IterBreakdown::default();
 
             // ---- Per-owner query routing (Cached only): every GPU's keys
             // are resolved at the owner's cache, as in Fig 2b.
-            let sample_span = rec.span(Phase::Sample);
+            let sample_span = rec.span(LedgerPhase::Sample);
             let mut per_gpu_unique: Vec<Vec<Key>> = Vec::with_capacity(n);
             for g in 0..n {
                 let keys = workload.keys(s, g);
@@ -230,7 +234,7 @@ impl BaselineEngine {
             let mut owner_misses = vec![0u64; n];
             let mut owner_queries = vec![0u64; n];
             if cfg.kind == BaselineKind::Cached {
-                let _span = rec.span(Phase::CacheQuery);
+                let _span = rec.span(LedgerPhase::CacheQuery);
                 let mut routed: Vec<Vec<Key>> = (0..n).map(|_| Vec::new()).collect();
                 let mut routed_seen: Vec<std::collections::HashSet<Key>> =
                     (0..n).map(|_| std::collections::HashSet::new()).collect();
@@ -270,13 +274,15 @@ impl BaselineEngine {
                 let unique = &per_gpu_unique[g];
                 let u = unique.len() as u64;
                 let mut rows = vec![0.0f32; keys.len() * dim];
-                let hr_span =
-                    rec.span_with(Phase::HostRead, SpanArgs::one("rows", keys.len() as u64));
+                let hr_span = rec.span_with(
+                    LedgerPhase::HostRead,
+                    SpanArgs::one("rows", keys.len() as u64),
+                );
                 for (i, &key) in keys.iter().enumerate() {
                     self.store.read_row(key, &mut rows[i * dim..(i + 1) * dim]);
                 }
                 drop(hr_span);
-                let compute_span = rec.span(Phase::Compute);
+                let compute_span = rec.span(LedgerPhase::Compute);
                 let grads = model.forward_backward(g, s, &keys, &rows);
                 loss_sum += grads.loss;
                 let mut agg = GradAggregator::new(dim);
@@ -347,7 +353,7 @@ impl BaselineEngine {
             // write-through "flush" every baseline pays on the critical path.
             let updates = merged.into_arrival_order();
             let apply_span = rec.span_with(
-                Phase::FlushApply,
+                LedgerPhase::FlushApply,
                 SpanArgs::one("rows", updates.len() as u64),
             );
             for (key, grad) in updates {

@@ -62,7 +62,7 @@ pub fn exp2_p2f(scale: &Scale) -> Vec<ExpTable> {
         ]);
     }
     stall.note("paper: P2F reduces stall 34-101x");
-    stall.note("p95/p99 are nearest-rank tails of per-iteration stall (trainer.p2f_wait_ns)");
+    stall.note("p95/p99 are nearest-rank tails of per-iteration stall (stall_wait phase)");
     thr.note("paper: stall reduction lifts end-to-end throughput 3.5-5.3x");
     vec![stall, thr]
 }

@@ -61,10 +61,6 @@ pub(crate) struct RunMetrics {
     /// Histogram `flush.apply_row_ns`: each batch's mean per-row apply
     /// cost (claim + optimizer step + host-store write).
     pub(crate) flush_apply_row_ns: Arc<Histogram>,
-    /// Counter `gentry.batch_ns`: total wall time trainers spent inside
-    /// the sharded batch-registration phase (writes + reads), summed
-    /// across trainers and steps.
-    pub(crate) gentry_batch_ns: Arc<Counter>,
     /// Gauge `p2f.blocking_rows`: the rows whose flush gates the next wait
     /// condition — next-step keys with pending writes under P²F, *all*
     /// pending keys under FIFO (the strategy's `stall_rows` view).
@@ -99,7 +95,6 @@ impl RunMetrics {
             flusher_parked_ns: registry.counter("flusher.parked_ns"),
             flush_batch_rows: registry.histogram("flush.batch_rows"),
             flush_apply_row_ns: registry.histogram("flush.apply_row_ns"),
-            gentry_batch_ns: registry.counter("gentry.batch_ns"),
             blocking_rows_next: registry.gauge("p2f.blocking_rows"),
             stall_modeled_ns: registry.counter(stall_counter),
             membership_transition_ns: registry.counter("membership.transition_ns"),

@@ -5,7 +5,7 @@ use super::RunShared;
 use crate::gentry::PendingWrites;
 use crate::wait::InflightTable;
 use frugal_embed::FlushClaim;
-use frugal_telemetry::{LaneKind, LedgerPhase, Phase, SpanArgs};
+use frugal_telemetry::{LedgerPhase, SpanArgs};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -144,7 +144,6 @@ impl FlushCoord {
 /// claimed-but-unapplied rows.
 pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
     let rec = shared.cfg.telemetry.recorder(format!("flusher-{slot}"));
-    let lane = shared.cfg.telemetry.ledger_lane(LaneKind::Flusher);
     let mut out = Vec::with_capacity(shared.cfg.flush_batch);
     // Reusable claim scratch: the batch's claimed (step, Δ) pairs, flat,
     // plus each claimed key's range into them.
@@ -179,10 +178,10 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         // would swamp both the histogram and the trace ring.
         let deq_ns = t_deq.elapsed().as_nanos() as u64;
         shared.metrics.flush_dequeue_ns.add(deq_ns);
-        lane.add_current(LedgerPhase::FlushDequeue, deq_ns);
-        rec.record_completed(
-            Phase::FlushDequeue,
+        rec.record(
+            LedgerPhase::FlushDequeue,
             t_deq,
+            deq_ns,
             SpanArgs::one("batch", out.len() as u64),
         );
         // Claim phase, timed apart from the apply: the batch sort and the
@@ -230,8 +229,12 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
                     .flush_apply_interference_ns
                     .add(apply_ns - applied * floor_row_ns);
             }
-            lane.add_current(LedgerPhase::FlushApply, apply_ns);
-            rec.record_completed(Phase::FlushApply, t_apply, SpanArgs::one("rows", applied));
+            rec.record(
+                LedgerPhase::FlushApply,
+                t_apply,
+                apply_ns,
+                SpanArgs::one("rows", applied),
+            );
             // Stall provenance: stamp this batch and emit the producing
             // half of the flow arrow *before* the marker clear below, so
             // a trainer that wakes on the clear reads an id whose flow

@@ -63,7 +63,7 @@ use flusher::FlushCoord;
 use frugal_embed::{HostStore, Sharding, UpdateRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq};
 use frugal_sim::{Nanos, RunStats};
-use frugal_telemetry::{LaneKind, LedgerPhase, Registry};
+use frugal_telemetry::{LedgerPhase, Registry, SpanArgs, ThreadRecorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,12 +190,17 @@ pub(crate) struct RunShared<'a> {
 /// the same gradient sequence), so invariant (2) holds in the new epoch
 /// without any cache flush.
 ///
+/// The transition is booked on `rec`, the run thread's recorder, to the
+/// first step of the new segment: it gates that step, and it is
+/// membership cost, not flush-wait cost, so it has its own phase.
+///
 /// `skip_quiesce` (failure injection) publishes the new map *without* the
 /// drain or the evictions: stale survivor cache rows and unflushed
 /// pre-epoch writes then race the new owners — the divergence the elastic
 /// consistency tests must catch.
 fn membership_transition(
     shared: &RunShared<'_>,
+    rec: &ThreadRecorder,
     states: &[Mutex<Option<TrainerState>>],
     next: Arc<ShardMap>,
     resume_step: u64,
@@ -239,11 +244,8 @@ fn membership_transition(
     shared.smap.publish(next);
     let ns = t0.elapsed().as_nanos() as u64;
     shared.metrics.membership_transition_ns.add(ns);
-    // Ledger attribution: the transition gates the first step of the new
-    // segment, so book it there (its own phase, not StallWait — it is
-    // membership cost, not flush-wait cost).
-    let lane = shared.cfg.telemetry.ledger_lane(LaneKind::Trainer);
-    lane.add(resume_step, LedgerPhase::EpochTransition, ns);
+    rec.set_step(resume_step);
+    rec.record(LedgerPhase::EpochTransition, t0, ns, SpanArgs::EMPTY);
 }
 
 /// The Frugal / Frugal-Sync training engine.
@@ -358,9 +360,11 @@ impl FrugalEngine {
         // Per-member persistent state (cache + cache-side optimizer),
         // indexed by trainer id. Slots fill lazily on first membership and
         // survive across segments; transitions drop leavers' slots.
-        let states: Vec<Mutex<Option<TrainerState>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let states: Vec<Mutex<Option<TrainerState>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let segments = resolve_segments(cfg);
+        // The run thread's recorder, for the membership transitions
+        // between segments.
+        let coordinator = cfg.telemetry.recorder("coordinator");
 
         // Flushers are spawned once for the whole run and live across
         // membership transitions — elasticity only reshapes the *trainer*
@@ -377,7 +381,7 @@ impl FrugalEngine {
             for (i, seg) in segments.iter().enumerate() {
                 if i > 0 {
                     let next = shared.smap.current().with_members(&seg.members);
-                    membership_transition(&shared, &states, next, seg.start);
+                    membership_transition(&shared, &coordinator, &states, next, seg.start);
                 }
                 // Lock-free: three crossings per step make the barrier
                 // hot-path state at 8–16 trainers (see `barrier` docs).

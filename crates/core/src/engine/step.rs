@@ -124,6 +124,10 @@ pub(crate) struct LeaderState {
     pub(crate) window: FlushWindow,
 }
 
+/// One trainer's reduced `(key, gradient)` rows for a step, in canonical
+/// arrival order.
+pub(crate) type UpdateRows = Vec<(Key, Arc<[f32]>)>;
+
 /// The step protocol's shared state: deposit slots, the per-owner reduced
 /// update slots, the sample ring, rotating-leader state, and the per-run
 /// iteration records.
@@ -138,7 +142,7 @@ pub(crate) struct StepState {
     /// arrival order. Written by the owner between A and B, read by every
     /// trainer between B and C (and by the C-leader for the write-through
     /// stall row count).
-    pub(crate) update_slots: Vec<RwLock<Vec<(Key, Arc<[f32]>)>>>,
+    pub(crate) update_slots: Vec<RwLock<UpdateRows>>,
     /// Per-GPU phase instrumentation for the current step.
     pub(crate) phase_slots: Vec<Mutex<PhaseTimes>>,
     /// The double-buffered sample pipeline (see [`SampleRing`]).

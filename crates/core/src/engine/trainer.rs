@@ -17,9 +17,7 @@ use crate::ShardMap;
 use frugal_data::{Key, KeyHashMap, KeyHashSet};
 use frugal_embed::{GpuCache, GradAggregator};
 use frugal_sim::{HostPath, Nanos};
-use frugal_telemetry::{
-    LaneKind, LedgerLane, LedgerPhase, Phase, SpanArgs, StallRecord, ThreadRecorder,
-};
+use frugal_telemetry::{LedgerPhase, SpanArgs, StallRecord, ThreadRecorder};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -213,7 +211,6 @@ pub(crate) fn register_phase(
     shared: &RunShared<'_>,
     smap: &ShardMap,
     rec: &ThreadRecorder,
-    lane: &LedgerLane,
     s: u64,
     t: usize,
     streams: &[usize],
@@ -223,13 +220,13 @@ pub(crate) fn register_phase(
 ) {
     let cfg = shared.cfg;
     let proactive = shared.strategy.uses_flushers();
-    let t0 = Instant::now();
 
     // Single pass over this member's reduced slot: fold the owned rows
     // into the local cache (the cache sees the same per-key gradient
     // sequence as the host path, keeping both bit-identical) and bucket
     // them for batch registration. The slot was written by this member
     // between A and B; barrier B ordered that write before every reader.
+    let apply_span = rec.span(LedgerPhase::CacheApply);
     for buf in &mut scratch.write_bufs {
         buf.clear();
     }
@@ -245,18 +242,20 @@ pub(crate) fn register_phase(
             }
         }
     }
-    if lane.is_enabled() {
-        lane.add(s, LedgerPhase::CacheApply, t0.elapsed().as_nanos() as u64);
-    }
+    drop(apply_span);
     if proactive {
         // Write registration — the sharded critical path. The slowest
         // member's time here is the step's g-entry registration time
         // (what a serial leader used to spend on *all* keys).
+        let own_rows = scratch.write_bufs.iter().map(|b| b.len() as u64).sum();
         let t_writes = Instant::now();
-        let mut own_rows = 0u64;
+        let _reg_span = rec.span_since(
+            LedgerPhase::Registration,
+            t_writes,
+            SpanArgs::one("rows", own_rows),
+        );
         for buf in &scratch.write_bufs {
             if !buf.is_empty() {
-                own_rows += buf.len() as u64;
                 shared
                     .gstore
                     .add_writes_batch(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
@@ -312,18 +311,6 @@ pub(crate) fn register_phase(
                     .blocking_next
                     .fetch_add(blocked, Ordering::AcqRel);
             }
-        }
-        shared
-            .metrics
-            .gentry_batch_ns
-            .add(t0.elapsed().as_nanos() as u64);
-        rec.record_completed(Phase::GEntryUpdate, t0, SpanArgs::one("rows", own_rows));
-        if lane.is_enabled() {
-            lane.add(
-                s,
-                LedgerPhase::Registration,
-                t_writes.elapsed().as_nanos() as u64,
-            );
         }
     }
 }
@@ -429,7 +416,6 @@ pub(crate) fn trainer_loop(
 ) {
     let cfg = shared.cfg;
     let rec = cfg.telemetry.recorder(format!("trainer-{t}"));
-    let lane = cfg.telemetry.ledger_lane(LaneKind::Trainer);
     let dim = shared.model.dim();
     let n_streams = cfg.n_gpus();
     // Segment snapshot: the map is immutable for the segment's lifetime,
@@ -488,6 +474,7 @@ pub(crate) fn trainer_loop(
     }
 
     for s in seg.start..seg.end {
+        rec.set_step(s);
         // Advance the cache policy's clock before anything observes step
         // `s` (the oracle prunes spent plan entries here).
         cache.begin_step(s);
@@ -496,14 +483,17 @@ pub(crate) fn trainer_loop(
         // generation overlaps the stall window instead of sitting on the
         // critical path; the batches consumed below were published L
         // steps ago.
-        let sample_span = rec.span(Phase::Sample);
+        let sample_span = rec.span(LedgerPhase::Sample);
         let ahead = s + cfg.lookahead;
         if ahead < cfg.steps {
             for &g in &streams {
-                shared.step.ring.publish(g, ahead, shared.workload.keys(ahead, g));
+                shared
+                    .step
+                    .ring
+                    .publish(g, ahead, shared.workload.keys(ahead, g));
             }
         }
-        lane.add(s, LedgerPhase::Sample, sample_span.finish());
+        drop(sample_span);
         // The strategy's wait condition — P²F's `PQ.top() > s` (§3.3), or
         // FIFO's "all writes < s flushed". The physical wait enforces
         // consistency; the *reported* stall is modeled by
@@ -527,7 +517,7 @@ pub(crate) fn trainer_loop(
                         (0, None)
                     };
                     let span = rec.span_with(
-                        Phase::P2fWait,
+                        LedgerPhase::StallWait,
                         SpanArgs::two("blocking_priority", floor, "pending_keys", pending),
                     );
                     if cache.wants_prefetch() {
@@ -561,7 +551,6 @@ pub(crate) fn trainer_loop(
                             blocking_key,
                             cleared_by,
                         });
-                        lane.add(s, LedgerPhase::StallWait, wait_ns);
                     }
                 }
             }
@@ -583,7 +572,7 @@ pub(crate) fn trainer_loop(
             // unique keys against the local cache, collecting the ones it
             // missed. All staging buffers are per-member scratch —
             // cleared, never re-allocated.
-            let cq_span = rec.span(Phase::CacheQuery);
+            let cq_span = rec.span(LedgerPhase::CacheQuery);
             scratch.index_of.clear();
             scratch.unique.clear();
             scratch.missing.clear();
@@ -607,7 +596,7 @@ pub(crate) fn trainer_loop(
                 }
                 scratch.missing.push((i, key));
             }
-            lane.add(s, LedgerPhase::CacheQuery, cq_span.finish());
+            drop(cq_span);
 
             // Forward pass 2 — host reads (UVA zero-copy) for the cache
             // misses. Safe to split from pass 1: keys are unique within a
@@ -615,7 +604,7 @@ pub(crate) fn trainer_loop(
             // again before the barrier.
             let host_reads = scratch.missing.len() as u64;
             let mut fills = 0u64;
-            let hr_span = rec.span_with(Phase::HostRead, SpanArgs::one("rows", host_reads));
+            let hr_span = rec.span_with(LedgerPhase::HostRead, SpanArgs::one("rows", host_reads));
             for &(i, key) in &scratch.missing {
                 let slot = &mut scratch.urows[i * dim..(i + 1) * dim];
                 // Verify the consistency invariant first when checking is on.
@@ -644,7 +633,7 @@ pub(crate) fn trainer_loop(
                 }
             }
             total_fills += fills;
-            lane.add(s, LedgerPhase::HostRead, hr_span.finish());
+            drop(hr_span);
 
             // Scatter unique rows to per-instance rows for the model.
             scratch.rows.clear();
@@ -657,8 +646,10 @@ pub(crate) fn trainer_loop(
                 );
             }
 
-            let compute_span = rec.span(Phase::Compute);
-            let grads = shared.model.forward_backward(g, s, keys.as_slice(), &scratch.rows);
+            let compute_span = rec.span(LedgerPhase::Compute);
+            let grads = shared
+                .model
+                .forward_backward(g, s, keys.as_slice(), &scratch.rows);
 
             // Aggregate this stream's gradients per key in arrival order
             // (the aggregator arena is reused: swapped into the stream's
@@ -669,7 +660,7 @@ pub(crate) fn trainer_loop(
                     .agg
                     .add(key, &grads.emb_grads[i * dim..(i + 1) * dim]);
             }
-            lane.add(s, LedgerPhase::Compute, compute_span.finish());
+            drop(compute_span);
 
             // Modeled hardware times for this stream's iteration.
             let cost = &cfg.cost;
@@ -707,27 +698,25 @@ pub(crate) fn trainer_loop(
         }
 
         // Barrier A: every stream's aggregates deposited.
-        let t_bar = lane.start();
+        let bar_span = rec.span(LedgerPhase::BarrierA);
         let a = barrier.wait();
-        lane.add_since(s, LedgerPhase::BarrierA, t_bar);
+        drop(bar_span);
         if a.is_leader() {
-            let t_lead = lane.start();
+            let _lead_span = rec.span(LedgerPhase::LeaderApply);
             step::leader_prepare(shared, s);
-            lane.add_since(s, LedgerPhase::LeaderApply, t_lead);
         }
         // Decentralized reduce: fold this member's owned keys across all
         // deposit slots (stream index order — canonical), publish them in
         // this member's update slot, and run the strategy's sharded
         // synchronous apply (write-through) on the owned rows.
-        let t_red = lane.start();
-        step::reduce_own_shard(shared, &smap, t, &mut scratch.merged);
         {
+            let _reduce_span = rec.span(LedgerPhase::Reduce);
+            step::reduce_own_shard(shared, &smap, t, &mut scratch.merged);
             let own = shared.step.update_slots[t].read();
             shared
                 .strategy
                 .shard_apply(shared.store, shared.rule.as_ref(), &own);
         }
-        lane.add_since(s, LedgerPhase::Reduce, t_red);
         // Barrier B: every member's update slot is published. Everyone
         // registers their shards.
         let b = barrier.wait();
@@ -735,7 +724,6 @@ pub(crate) fn trainer_loop(
             shared,
             &smap,
             &rec,
-            &lane,
             s,
             t,
             &streams,
@@ -750,9 +738,8 @@ pub(crate) fn trainer_loop(
         // queued before any member can evaluate step s + 1's wait
         // condition. The C-leader finalizes bookkeeping concurrently.
         if barrier.wait().is_leader() {
-            let t_lead = lane.start();
+            let _lead_span = rec.span(LedgerPhase::LeaderApply);
             step::leader_finish(shared, &smap, s);
-            lane.add_since(s, LedgerPhase::LeaderApply, t_lead);
         }
     }
 

@@ -24,8 +24,10 @@ pub struct TrainReport {
     /// prefetch.
     pub cache_prefetch_fills: u64,
     /// Mean per-step time to register a batch's g-entry updates — the
-    /// paper's Exp #4a metric, the mean of the `leader.gentry_update_ns`
-    /// telemetry histogram. Zero for engines without g-entries.
+    /// paper's Exp #4a metric: each step's slowest trainer's write-batch
+    /// registration time (`reg_ns_max`), scaled to the reference machine
+    /// by the host calibration and averaged over steps. Zero for engines
+    /// without g-entries.
     pub mean_gentry_update: Nanos,
     /// Consistency-invariant violations observed on host reads — the
     /// `p2f.violations` telemetry counter. Only collected in checked mode

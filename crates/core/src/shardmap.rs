@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 /// Fixed seed for the rendezvous hash: the map must be a pure function of
 /// the member set, identical across processes and runs.
-const HRW_SEED: u64 = 0x5EED_5EED_0_F00D;
+const HRW_SEED: u64 = 0x0005_EED5_EED0_F00D;
 
 /// SplitMix64-style finalizer mixing `(shard, member)` into a rank weight.
 fn hrw_hash(sid: usize, member: usize) -> u64 {
@@ -309,7 +309,11 @@ mod tests {
 
     #[test]
     fn streams_partition_across_members() {
-        for members in [vec![0, 1, 2, 3, 4, 5, 6, 7], vec![0, 2, 4, 5, 6, 7], vec![3]] {
+        for members in [
+            vec![0, 1, 2, 3, 4, 5, 6, 7],
+            vec![0, 2, 4, 5, 6, 7],
+            vec![3],
+        ] {
             let map = map_for(&members);
             let mut covered = vec![0usize; 8];
             for &t in &members {

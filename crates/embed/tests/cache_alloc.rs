@@ -121,8 +121,11 @@ fn oracle_fill_loop_never_allocates_once_plans_are_fed() {
     let row = vec![1.0f32; DIM];
     let steps = 64u64;
     let mut cache = GpuCache::new(CAP, DIM, CachePolicy::OracleBelady);
+    // A sliding window: each step reads 48 keys, 8 of them new, so every
+    // step misses on the entering keys and fills them over residents that
+    // just left the window (next used a full lap of the universe later).
     let feeds: Vec<Vec<u64>> = (0..steps)
-        .map(|s| (0..UNIVERSE).filter(|k| (k + s) % 3 == 0).collect())
+        .map(|s| (0..48).map(|i| (s * 8 + i) % UNIVERSE).collect())
         .collect();
     for (s, keys) in feeds.iter().enumerate() {
         cache.prepare_step(s as u64, keys);
@@ -144,6 +147,10 @@ fn oracle_fill_loop_never_allocates_once_plans_are_fed() {
         filled
     });
     std::hint::black_box(filled);
+    assert!(
+        filled > 0,
+        "the measured window must exercise the fill path"
+    );
     assert_eq!(
         allocs, 0,
         "oracle allocated during fed steady-state churn ({filled} fills)"

@@ -3,30 +3,30 @@
 //!
 //! Histograms (log2 buckets) answer "what does this phase cost over the
 //! whole run" but cannot say *which step* regressed or give exact
-//! percentiles. The ledger keeps, per engine thread (lane), a ring of
+//! percentiles. The ledger keeps, per recorder thread (lane), a ring of
 //! `capacity` step slots; each slot holds one accumulated duration cell
 //! per [`LedgerPhase`]. Writes are wait-free single-writer stores:
 //!
-//! * every lane is owned by exactly one thread (its trainer or flusher),
-//!   so slot maintenance needs no CAS loops;
+//! * every lane is owned by exactly one thread's recorder, so slot
+//!   maintenance needs no CAS loops;
 //! * a slot is tagged with `step + 1` (`0` = never written). When the
 //!   owner writes a step whose slot still carries an older step's tag, it
 //!   zeroes the slot's cells and retags — so wrap-around never needs a
 //!   coordinated clear;
-//! * flusher lanes do not know the trainer step; they attribute work to
+//! * flusher phases do not know the trainer step; they are attributed to
 //!   the ledger's *step cursor*, which the barrier-A leader advances at
 //!   the top of each step. Attribution is therefore exact for trainer
 //!   phases and within ±1 step for flusher phases (documented, and fine:
 //!   the summary aggregates per step before computing percentiles).
 //!
 //! The summary ([`LedgerSummary`]) folds lanes per step — **max** across
-//! trainer lanes (the critical path is the slowest trainer) and **sum**
-//! across flusher lanes (total background work) — then sorts the per-step
-//! values for *exact* nearest-rank percentiles over the retained window.
+//! lanes for trainer phases (the critical path is the slowest trainer)
+//! and **sum** for flusher phases (total background work) — then sorts
+//! the per-step values for *exact* nearest-rank percentiles over the
+//! retained window.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Default number of step slots retained per lane.
 pub const DEFAULT_LEDGER_STEPS: usize = 4096;
@@ -115,28 +115,17 @@ impl LedgerPhase {
         }
     }
 
-    /// Whether the phase is recorded by flusher lanes (summed across
-    /// lanes per step) rather than trainer lanes (maxed across lanes).
+    /// Whether the phase is flusher work: attributed to the step cursor
+    /// and summed across lanes per step, where a trainer phase is booked
+    /// to its trainer's step and maxed across lanes.
     pub fn is_flusher(self) -> bool {
         matches!(self, LedgerPhase::FlushDequeue | LedgerPhase::FlushApply)
     }
 }
 
-/// Which kind of thread owns a lane; decides cross-lane aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneKind {
-    /// A trainer thread: per-step values are maxed across lanes
-    /// (critical path = slowest trainer).
-    Trainer,
-    /// A flusher thread: per-step values are summed across lanes
-    /// (total background work done during the step).
-    Flusher,
-}
-
-/// One thread's ring of tagged step slots.
+/// One recorder thread's ring of tagged step slots.
 #[derive(Debug)]
 struct LaneShared {
-    kind: LaneKind,
     /// `step + 1` of the step occupying each slot; 0 = never written.
     tags: Box<[AtomicU64]>,
     /// `capacity * LedgerPhase::COUNT` duration cells, slot-major.
@@ -147,8 +136,8 @@ struct LaneShared {
 #[derive(Debug)]
 pub(crate) struct LedgerCore {
     capacity: usize,
-    /// Current step, advanced by the barrier-A leader; flusher lanes
-    /// attribute their work to this step.
+    /// Current step, advanced by the barrier-A leader; flusher phases
+    /// are attributed to this step.
     cursor: Arc<AtomicU64>,
     lanes: Mutex<Vec<Arc<LaneShared>>>,
 }
@@ -166,20 +155,18 @@ impl LedgerCore {
         self.cursor.store(step, Ordering::Release);
     }
 
-    pub fn lane(&self, kind: LaneKind) -> LedgerLane {
+    /// Registers a lane for one recorder thread.
+    pub fn lane(&self) -> Lane {
         let shared = Arc::new(LaneShared {
-            kind,
             tags: (0..self.capacity).map(|_| AtomicU64::new(0)).collect(),
             cells: (0..self.capacity * LedgerPhase::COUNT)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
         });
         self.lanes.lock().unwrap().push(Arc::clone(&shared));
-        LedgerLane {
-            inner: Some(LaneHandle {
-                lane: shared,
-                cursor: Arc::clone(&self.cursor),
-            }),
+        Lane {
+            shared,
+            cursor: Arc::clone(&self.cursor),
         }
     }
 
@@ -202,9 +189,10 @@ impl LedgerCore {
                     let v = lane.cells[slot * LedgerPhase::COUNT + phase.index()]
                         .load(Ordering::Relaxed);
                     let cell = &mut entry[phase.index()];
-                    match lane.kind {
-                        LaneKind::Trainer => *cell = (*cell).max(v),
-                        LaneKind::Flusher => *cell += v,
+                    if phase.is_flusher() {
+                        *cell += v;
+                    } else {
+                        *cell = (*cell).max(v);
                     }
                 }
             }
@@ -245,88 +233,44 @@ impl LedgerCore {
     }
 }
 
-#[derive(Debug, Clone)]
-struct LaneHandle {
-    lane: Arc<LaneShared>,
+/// One recorder thread's handle into the ledger, owned by its
+/// [`ThreadRecorder`](crate::ThreadRecorder).
+///
+/// A lane must only be written by the thread that owns it — slot
+/// retagging relies on single-writer ownership, which the recorder's
+/// `!Sync` enforces.
+#[derive(Debug)]
+pub(crate) struct Lane {
+    shared: Arc<LaneShared>,
     cursor: Arc<AtomicU64>,
 }
 
-/// A single thread's handle into the ledger. Disabled handles (telemetry
-/// off) are inert: no allocation, no clock reads, no atomics.
-///
-/// A lane must only be written by the thread that obtained it — slot
-/// retagging relies on single-writer ownership.
-#[derive(Debug, Clone, Default)]
-pub struct LedgerLane {
-    inner: Option<LaneHandle>,
-}
-
-impl LedgerLane {
-    /// A lane that records nothing.
-    pub fn disabled() -> Self {
-        LedgerLane { inner: None }
-    }
-
-    /// Whether this lane records.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Reads the clock when enabled; `None` when disabled (so disabled
-    /// call sites skip the syscall entirely).
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        self.inner.as_ref().map(|_| Instant::now())
-    }
-
-    /// Accumulates the elapsed time since a [`LedgerLane::start`] stamp
-    /// into `phase` for `step`.
-    #[inline]
-    pub fn add_since(&self, step: u64, phase: LedgerPhase, start: Option<Instant>) {
-        if let (Some(_), Some(t0)) = (&self.inner, start) {
-            self.add(step, phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Accumulates `ns` into `phase` for `step`.
+impl Lane {
+    /// Accumulates `ns` into `phase`: a trainer phase at `step`, a
+    /// flusher phase at the ledger's step cursor (flusher threads do not
+    /// track the trainer step).
     #[inline]
     pub fn add(&self, step: u64, phase: LedgerPhase, ns: u64) {
-        let Some(h) = &self.inner else { return };
-        let cap = h.lane.tags.len();
+        let step = if phase.is_flusher() {
+            self.cursor.load(Ordering::Acquire)
+        } else {
+            step
+        };
+        let lane = &self.shared;
+        let cap = lane.tags.len();
         let slot = (step % cap as u64) as usize;
         let tag = step + 1;
-        if h.lane.tags[slot].load(Ordering::Relaxed) != tag {
+        if lane.tags[slot].load(Ordering::Relaxed) != tag {
             // The slot still holds an older (wrapped) step: zero its
             // cells and retag. Single-writer ownership makes this safe;
             // a concurrent summary read may see a torn slot, which only
             // perturbs one step of a 4096-step window.
             for p in 0..LedgerPhase::COUNT {
-                h.lane.cells[slot * LedgerPhase::COUNT + p].store(0, Ordering::Relaxed);
+                lane.cells[slot * LedgerPhase::COUNT + p].store(0, Ordering::Relaxed);
             }
-            h.lane.tags[slot].store(tag, Ordering::Release);
+            lane.tags[slot].store(tag, Ordering::Release);
         }
-        h.lane.cells[slot * LedgerPhase::COUNT + phase.index()].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Accumulates `ns` into `phase` for the ledger's current step (set
-    /// by the barrier-A leader) — used by flusher lanes, which do not
-    /// track the trainer step themselves.
-    #[inline]
-    pub fn add_current(&self, phase: LedgerPhase, ns: u64) {
-        if let Some(h) = &self.inner {
-            let step = h.cursor.load(Ordering::Acquire);
-            self.add(step, phase, ns);
-        }
-    }
-
-    /// The ledger's current step cursor (0 when disabled).
-    #[inline]
-    pub fn current_step(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|h| h.cursor.load(Ordering::Acquire))
-            .unwrap_or(0)
+        lane.cells[slot * LedgerPhase::COUNT + phase.index()].fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -409,27 +353,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_lane_is_inert() {
-        let lane = LedgerLane::disabled();
-        assert!(!lane.is_enabled());
-        assert!(lane.start().is_none());
-        lane.add(3, LedgerPhase::Compute, 100);
-        lane.add_current(LedgerPhase::FlushApply, 100);
-        assert_eq!(lane.current_step(), 0);
-    }
-
-    #[test]
-    fn trainer_lanes_max_and_flusher_lanes_sum() {
+    fn trainer_phases_max_and_flusher_phases_sum() {
         let core = LedgerCore::new(16);
-        let t0 = core.lane(LaneKind::Trainer);
-        let t1 = core.lane(LaneKind::Trainer);
-        let f0 = core.lane(LaneKind::Flusher);
-        let f1 = core.lane(LaneKind::Flusher);
+        let t0 = core.lane();
+        let t1 = core.lane();
+        let f0 = core.lane();
+        let f1 = core.lane();
         for step in 0..4u64 {
+            core.advance(step);
             t0.add(step, LedgerPhase::Compute, 100 + step);
             t1.add(step, LedgerPhase::Compute, 200 + step);
-            f0.add(step, LedgerPhase::FlushApply, 10);
-            f1.add(step, LedgerPhase::FlushApply, 30);
+            f0.add(0, LedgerPhase::FlushApply, 10);
+            f1.add(0, LedgerPhase::FlushApply, 30);
         }
         let s = core.summary();
         assert_eq!(s.window, 4);
@@ -447,7 +382,7 @@ mod tests {
     #[test]
     fn percentiles_are_exact_nearest_rank() {
         let core = LedgerCore::new(256);
-        let lane = core.lane(LaneKind::Trainer);
+        let lane = core.lane();
         // 100 steps: values 1..=100 ns.
         for step in 0..100u64 {
             lane.add(step, LedgerPhase::StallWait, step + 1);
@@ -465,7 +400,7 @@ mod tests {
     #[test]
     fn wrapping_retags_slots_and_keeps_the_newest_window() {
         let core = LedgerCore::new(4);
-        let lane = core.lane(LaneKind::Trainer);
+        let lane = core.lane();
         for step in 0..10u64 {
             lane.add(step, LedgerPhase::Registration, 1000 + step);
             // Accumulation within a step must survive the retag.
@@ -487,7 +422,7 @@ mod tests {
         // in crate tests; here against the core directly.
         let core = LedgerCore::new(0);
         assert_eq!(core.summary().window, 0, "empty ledger, no panic");
-        let lane = core.lane(LaneKind::Trainer);
+        let lane = core.lane();
         for step in 0..3u64 {
             lane.add(step, LedgerPhase::Compute, 10 + step);
         }
@@ -501,10 +436,11 @@ mod tests {
     #[test]
     fn cursor_routes_flusher_attribution() {
         let core = LedgerCore::new(8);
-        let f = core.lane(LaneKind::Flusher);
+        let lane = core.lane();
         core.advance(5);
-        assert_eq!(f.current_step(), 5);
-        f.add_current(LedgerPhase::FlushDequeue, 77);
+        // The step argument is the trainer step; a flusher phase ignores
+        // it and books to the cursor.
+        lane.add(2, LedgerPhase::FlushDequeue, 77);
         let s = core.summary();
         assert_eq!((s.first_step, s.last_step), (5, 5));
         assert_eq!(s.phase(LedgerPhase::FlushDequeue).unwrap().total_ns, 77);

@@ -6,9 +6,11 @@
 //!
 //! * a [`Registry`] of named atomic [`Counter`]s, [`Gauge`]s, and
 //!   log2-bucketed nanosecond [`Histogram`]s with p50/p95/p99 summaries;
-//! * per-thread [`Span`] timers over the engine [`Phase`]s (plus
-//!   histogram-only [`Probe`]s for shared hot paths like PQ ops), with
-//!   near-zero cost when telemetry is off;
+//! * per-thread [`Span`] timers over the engine's [`LedgerPhase`]s, each
+//!   feeding the phase's histogram, the trace ring and a per-step phase
+//!   ledger with exact windowed percentiles (plus histogram-only
+//!   [`Probe`]s for shared hot paths like PQ ops), with near-zero cost
+//!   when telemetry is off;
 //! * a bounded per-thread ring of completed spans exported as Chrome
 //!   trace-event JSON (`chrome://tracing` / Perfetto) and a JSONL
 //!   metrics snapshot — serialized by the crate's own [`json`] module;
@@ -34,11 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use ledger::{
-    LaneKind, LedgerLane, LedgerPhase, LedgerPhaseSummary, LedgerSummary, DEFAULT_LEDGER_STEPS,
-};
+pub use ledger::{LedgerPhase, LedgerPhaseSummary, LedgerSummary, DEFAULT_LEDGER_STEPS};
 pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use span::{Phase, Probe, Span, SpanArgs, ThreadRecorder};
+pub use span::{Probe, Span, SpanArgs, ThreadRecorder};
 pub use trace::DEFAULT_SPANS_PER_THREAD;
 
 use json::JsonWriter;
@@ -171,32 +171,24 @@ impl Telemetry {
         self.inner.as_ref().map(|i| Arc::clone(&i.registry))
     }
 
-    /// Creates a span recorder for the calling engine thread. `name`
-    /// becomes the thread's label in exported traces.
+    /// Creates a span recorder, with its own trace ring and ledger lane,
+    /// for the calling engine thread. `name` becomes the thread's label in
+    /// exported traces; each phase's histogram is named after
+    /// [`LedgerPhase::name`].
     pub fn recorder(&self, name: impl Into<String>) -> ThreadRecorder {
         match &self.inner {
             None => ThreadRecorder::disabled(),
             Some(i) => {
                 let (buf, flows) = i.trace.register_thread(name.into());
-                let hists = Phase::ALL.map(|p| i.registry.histogram(p.metric_name()));
-                ThreadRecorder::enabled(buf, flows, i.epoch, hists)
+                let hists = LedgerPhase::ALL.map(|p| i.registry.histogram(p.name()));
+                ThreadRecorder::enabled(buf, flows, i.ledger.lane(), i.epoch, hists)
             }
         }
     }
 
-    /// Registers a step-ledger lane for the calling engine thread (a
-    /// disabled lane when telemetry is off). Each lane must be written
-    /// by exactly one thread.
-    pub fn ledger_lane(&self, kind: LaneKind) -> LedgerLane {
-        match &self.inner {
-            None => LedgerLane::disabled(),
-            Some(i) => i.ledger.lane(kind),
-        }
-    }
-
     /// Advances the ledger's step cursor; called by the barrier-A leader
-    /// at the top of each step so flusher lanes attribute their work to
-    /// the step currently executing.
+    /// at the top of each step so flusher phases are attributed to the
+    /// step currently executing.
     #[inline]
     pub fn ledger_advance(&self, step: u64) {
         if let Some(i) = &self.inner {
@@ -501,7 +493,9 @@ mod tests {
         assert!(tel.chrome_trace_json().is_none());
         let rec = tel.recorder("t");
         assert!(!rec.is_enabled());
-        assert_eq!(rec.span(Phase::Compute).finish(), 0);
+        rec.set_step(9);
+        assert_eq!(rec.span(LedgerPhase::Compute).finish(), 0);
+        rec.record(LedgerPhase::FlushApply, Instant::now(), 5, SpanArgs::EMPTY);
         tel.probe("pq.enqueue_ns").time(|| ());
         tel.record_stall(StallRecord {
             step: 0,
@@ -512,8 +506,6 @@ mod tests {
             blocking_key: None,
             cleared_by: 0,
         });
-        let lane = tel.ledger_lane(LaneKind::Trainer);
-        assert!(!lane.is_enabled());
         tel.ledger_advance(9);
         assert!(tel.ledger_summary().is_none());
     }
@@ -525,9 +517,15 @@ mod tests {
         // panic). The constructor clamps to one slot and the trim
         // saturates, so the degenerate config just keeps the newest step.
         let tel = Telemetry::with_ledger_capacity(16, 16, 0);
-        let lane = tel.ledger_lane(LaneKind::Trainer);
+        let rec = tel.recorder("t");
         for step in 0..5u64 {
-            lane.add(step, LedgerPhase::Compute, 100 + step);
+            rec.set_step(step);
+            rec.record(
+                LedgerPhase::Compute,
+                Instant::now(),
+                100 + step,
+                SpanArgs::EMPTY,
+            );
         }
         let s = tel.ledger_summary().expect("enabled telemetry summarizes");
         assert_eq!(s.window, 1);
@@ -539,14 +537,22 @@ mod tests {
         let tel = Telemetry::new();
         let rec = tel.recorder("trainer-0");
         {
-            let _outer = rec.span(Phase::Compute);
-            let _inner = rec.span_with(Phase::HostRead, SpanArgs::one("rows", 4));
+            let _outer = rec.span(LedgerPhase::Compute);
+            let _inner = rec.span_with(LedgerPhase::HostRead, SpanArgs::one("rows", 4));
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
+        rec.record(LedgerPhase::FlushApply, Instant::now(), 7, SpanArgs::EMPTY);
         let summary = tel.summary().unwrap();
-        assert_eq!(summary.histogram("trainer.compute_ns").unwrap().count, 1);
-        assert_eq!(summary.histogram("trainer.host_read_ns").unwrap().count, 1);
-        assert!(summary.histogram("trainer.compute_ns").unwrap().max >= 200_000);
+        let compute = summary.histogram("compute").unwrap();
+        assert_eq!(compute.count, 1);
+        assert_eq!(summary.histogram("host_read").unwrap().count, 1);
+        assert!(compute.max >= 200_000);
+        // The one duration the span measured is also its ledger cell.
+        let ledger = summary.ledger.as_ref().unwrap();
+        assert_eq!(
+            ledger.phase(LedgerPhase::Compute).unwrap().total_ns,
+            compute.sum
+        );
 
         let doc = json::parse(&tel.chrome_trace_json().unwrap()).unwrap();
         let events = doc
@@ -561,7 +567,16 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(json::Json::as_str) == Some("E"))
             .count();
-        assert_eq!((b, e), (2, 2));
+        assert_eq!((b, e), (3, 3));
+        // The Chrome category follows `LedgerPhase::is_flusher`.
+        let cat_of = |name: &str| {
+            events
+                .iter()
+                .find(|ev| ev.get("name").and_then(json::Json::as_str) == Some(name))
+                .and_then(|ev| ev.get("cat").and_then(json::Json::as_str))
+        };
+        assert_eq!(cat_of("compute"), Some("trainer"));
+        assert_eq!(cat_of("flush_apply"), Some("flusher"));
         // The annotated host_read begin event carries its args.
         assert!(events.iter().any(|ev| {
             ev.get("name").and_then(json::Json::as_str) == Some("host_read")
@@ -599,7 +614,7 @@ mod tests {
     fn jsonl_lines_each_parse() {
         let tel = Telemetry::new();
         let rec = tel.recorder("t");
-        rec.span(Phase::Sample).finish();
+        rec.span(LedgerPhase::Sample).finish();
         tel.registry().unwrap().counter("cache.hits").add(9);
         tel.registry().unwrap().gauge("flush.inflight").set(-2);
         tel.record_stall(StallRecord {
@@ -611,8 +626,8 @@ mod tests {
             blocking_key: Some(17),
             cleared_by: 2,
         });
-        tel.ledger_lane(LaneKind::Trainer)
-            .add(3, LedgerPhase::StallWait, 42);
+        rec.set_step(3);
+        rec.record(LedgerPhase::StallWait, Instant::now(), 42, SpanArgs::EMPTY);
         let jsonl = tel.metrics_jsonl().unwrap();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert!(lines.len() >= 4);

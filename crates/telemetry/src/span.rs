@@ -1,107 +1,23 @@
-//! Phase definitions, per-thread span recorders, and RAII span timers.
+//! Per-thread phase recorders and RAII span guards.
 //!
-//! A [`ThreadRecorder`] is created once per trainer/flusher thread from a
-//! [`Telemetry`](crate::Telemetry) handle. Opening a [`Span`] on it stamps
-//! the current time; dropping the span records the duration both into the
-//! phase's histogram (for percentiles) and into the thread's bounded ring
-//! (for Chrome trace export). When telemetry is disabled the recorder is
-//! empty and a span is a no-op that never reads the clock.
+//! A [`ThreadRecorder`] is created once per engine thread from a
+//! [`Telemetry`](crate::Telemetry) handle and owns that thread's trace
+//! ring and step-ledger lane. A [`Span`] over a [`LedgerPhase`] reads the
+//! clock when it opens and once more when it closes; that one duration
+//! goes to the phase's histogram (for percentiles), the thread's bounded
+//! ring (for Chrome trace export) and the thread's ledger cell (for
+//! per-step attribution). When telemetry is disabled the recorder is
+//! empty and a span is a no-op that never reads the clock; the entry
+//! points are `#[inline(always)]` so that no-op stays a branch even in
+//! unoptimised builds.
 
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::ledger::{Lane, LedgerPhase};
 use crate::registry::Histogram;
 use crate::trace::{FlowRecord, FlowSink, SpanEvent, ThreadBuf, TraceCollector};
-
-/// The engine phases that get span timing.
-///
-/// Trainer-side phases decompose one training iteration the way the
-/// paper's Fig. 3c / Fig. 12 decompose iteration time; flusher-side
-/// phases decompose background flushing (P²F or write-through).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Drawing the iteration's sample keys from the workload.
-    Sample,
-    /// Resolving unique keys against the GPU embedding caches.
-    CacheQuery,
-    /// Reading rows missed by every cache from host DRAM.
-    HostRead,
-    /// Model forward/backward plus gradient aggregation.
-    Compute,
-    /// Leader-side g-entry registration and PQ updates for one step.
-    GEntryUpdate,
-    /// Blocking in the P²F wait condition (`PQ.top() > s` violated).
-    P2fWait,
-    /// Flusher thread pulling a batch out of the priority queue.
-    FlushDequeue,
-    /// Flusher thread applying dequeued rows to host DRAM.
-    FlushApply,
-}
-
-impl Phase {
-    /// Number of phases (size for per-phase lookup tables).
-    pub const COUNT: usize = 8;
-
-    /// Every phase, in a fixed order matching `as usize` indices.
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Sample,
-        Phase::CacheQuery,
-        Phase::HostRead,
-        Phase::Compute,
-        Phase::GEntryUpdate,
-        Phase::P2fWait,
-        Phase::FlushDequeue,
-        Phase::FlushApply,
-    ];
-
-    /// Index into per-phase tables.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The histogram name this phase records into.
-    pub fn metric_name(self) -> &'static str {
-        match self {
-            Phase::Sample => "trainer.sample_ns",
-            Phase::CacheQuery => "trainer.cache_query_ns",
-            Phase::HostRead => "trainer.host_read_ns",
-            Phase::Compute => "trainer.compute_ns",
-            Phase::GEntryUpdate => "leader.gentry_update_ns",
-            Phase::P2fWait => "trainer.p2f_wait_ns",
-            Phase::FlushDequeue => "flusher.dequeue_ns",
-            Phase::FlushApply => "flusher.apply_ns",
-        }
-    }
-
-    /// Short name used for trace events.
-    pub fn trace_name(self) -> &'static str {
-        match self {
-            Phase::Sample => "sample",
-            Phase::CacheQuery => "cache_query",
-            Phase::HostRead => "host_read",
-            Phase::Compute => "compute",
-            Phase::GEntryUpdate => "gentry_update",
-            Phase::P2fWait => "p2f_wait",
-            Phase::FlushDequeue => "flush_dequeue",
-            Phase::FlushApply => "flush_apply",
-        }
-    }
-
-    /// Trace event category (`cat` field in Chrome traces).
-    pub fn category(self) -> &'static str {
-        match self {
-            Phase::Sample
-            | Phase::CacheQuery
-            | Phase::HostRead
-            | Phase::Compute
-            | Phase::P2fWait => "trainer",
-            Phase::GEntryUpdate => "leader",
-            Phase::FlushDequeue | Phase::FlushApply => "flusher",
-        }
-    }
-}
 
 /// Up to two numeric key/value annotations attached to a span
 /// (e.g. stall attribution on a P²F wait).
@@ -149,8 +65,8 @@ impl SpanArgs {
 /// [`Telemetry::recorder`](crate::Telemetry::recorder).
 ///
 /// Not `Sync` on purpose: each engine thread owns its recorder, so the
-/// sequence counter is a plain [`Cell`] and opening a span costs one
-/// clock read plus a cell bump.
+/// sequence counter and step are plain [`Cell`]s, and the ledger lane
+/// has the single writer its slot retagging relies on.
 #[derive(Debug)]
 pub struct ThreadRecorder {
     inner: Option<RecorderInner>,
@@ -160,9 +76,50 @@ pub struct ThreadRecorder {
 pub(crate) struct RecorderInner {
     buf: Arc<ThreadBuf>,
     flows: Arc<FlowSink>,
+    lane: Lane,
     epoch: Instant,
     seq: Cell<u64>,
-    hists: [Arc<Histogram>; Phase::COUNT],
+    /// The training step trainer phases are booked to in the ledger.
+    step: Cell<u64>,
+    hists: [Arc<Histogram>; LedgerPhase::COUNT],
+}
+
+impl RecorderInner {
+    fn open(&self, phase: LedgerPhase, start: Instant, args: SpanArgs) -> Span<'_> {
+        let begin_seq = self.seq.get();
+        self.seq.set(begin_seq + 1);
+        Span(Some(ActiveSpan {
+            rec: self,
+            phase,
+            start,
+            begin_seq,
+            args,
+        }))
+    }
+
+    /// Files one completed interval in the histogram, the ledger and the
+    /// trace ring.
+    fn commit(
+        &self,
+        phase: LedgerPhase,
+        start: Instant,
+        dur_ns: u64,
+        begin_seq: u64,
+        args: SpanArgs,
+    ) {
+        let end_seq = self.seq.get();
+        self.seq.set(end_seq + 1);
+        self.hists[phase.index()].record(dur_ns);
+        self.lane.add(self.step.get(), phase, dur_ns);
+        self.buf.push(SpanEvent {
+            phase,
+            begin_ns: start.duration_since(self.epoch).as_nanos() as u64,
+            dur_ns,
+            begin_seq,
+            end_seq,
+            args,
+        });
+    }
 }
 
 impl ThreadRecorder {
@@ -174,15 +131,18 @@ impl ThreadRecorder {
     pub(crate) fn enabled(
         buf: Arc<ThreadBuf>,
         flows: Arc<FlowSink>,
+        lane: Lane,
         epoch: Instant,
-        hists: [Arc<Histogram>; Phase::COUNT],
+        hists: [Arc<Histogram>; LedgerPhase::COUNT],
     ) -> Self {
         ThreadRecorder {
             inner: Some(RecorderInner {
                 buf,
                 flows,
+                lane,
                 epoch,
                 seq: Cell::new(0),
+                step: Cell::new(0),
                 hists,
             }),
         }
@@ -191,6 +151,16 @@ impl ThreadRecorder {
     /// Whether spans opened on this recorder actually record.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Sets the training step this thread's trainer-phase spans are
+    /// booked to in the ledger. Flusher phases follow the ledger's step
+    /// cursor instead (see [`LedgerPhase::is_flusher`]).
+    #[inline(always)]
+    pub fn set_step(&self, step: u64) {
+        if let Some(rec) = &self.inner {
+            rec.step.set(step);
+        }
     }
 
     /// Emits the producing half of a cross-thread flow arrow (Chrome
@@ -222,60 +192,54 @@ impl ThreadRecorder {
     }
 
     /// Opens an unannotated span for `phase`; it records when dropped.
-    #[inline]
-    pub fn span(&self, phase: Phase) -> Span<'_> {
-        self.span_with(phase, SpanArgs::EMPTY)
-    }
-
-    /// Records a span retroactively: it began at `start` and ends now.
-    ///
-    /// For call sites that only decide after the fact whether an interval
-    /// is worth recording (e.g. a flusher dequeue poll that found work,
-    /// as opposed to thousands of idle polls). Returns the duration in
-    /// nanoseconds (0 when disabled). Both sequence numbers are taken at
-    /// completion, so ordering versus RAII spans on the same thread stays
-    /// consistent as long as the retro span does not overlap one — which
-    /// single-threaded phase structure guarantees.
-    pub fn record_completed(&self, phase: Phase, start: Instant, args: SpanArgs) -> u64 {
-        let Some(rec) = &self.inner else { return 0 };
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        let begin_seq = rec.seq.get();
-        rec.seq.set(begin_seq + 2);
-        rec.hists[phase.index()].record(dur_ns);
-        rec.buf.push(SpanEvent {
-            phase,
-            begin_ns: start.duration_since(rec.epoch).as_nanos() as u64,
-            dur_ns,
-            begin_seq,
-            end_seq: begin_seq + 1,
-            args,
-        });
-        dur_ns
+    #[inline(always)]
+    pub fn span(&self, phase: LedgerPhase) -> Span<'_> {
+        match &self.inner {
+            None => Span(None),
+            Some(rec) => rec.open(phase, Instant::now(), SpanArgs::EMPTY),
+        }
     }
 
     /// Opens a span carrying `args` annotations.
-    #[inline]
-    pub fn span_with(&self, phase: Phase, args: SpanArgs) -> Span<'_> {
+    #[inline(always)]
+    pub fn span_with(&self, phase: LedgerPhase, args: SpanArgs) -> Span<'_> {
         match &self.inner {
             None => Span(None),
-            Some(rec) => {
-                let start = Instant::now();
-                let seq = rec.seq.get();
-                rec.seq.set(seq + 1);
-                Span(Some(ActiveSpan {
-                    rec,
-                    phase,
-                    start,
-                    begin_ns: start.duration_since(rec.epoch).as_nanos() as u64,
-                    begin_seq: seq,
-                    args,
-                }))
-            }
+            Some(rec) => rec.open(phase, Instant::now(), args),
         }
+    }
+
+    /// Opens a span that began at `start`, for a site that reads the
+    /// clock at the phase's start anyway. Closing it is the only further
+    /// clock read.
+    #[inline(always)]
+    pub fn span_since(&self, phase: LedgerPhase, start: Instant, args: SpanArgs) -> Span<'_> {
+        match &self.inner {
+            None => Span(None),
+            Some(rec) => rec.open(phase, start, args),
+        }
+    }
+
+    /// Records an interval the caller already timed: it began at `start`
+    /// and lasted `dur_ns`. For sites whose own counters need the
+    /// duration whether or not telemetry is on (flusher batches, epoch
+    /// transitions), and that only decide afterwards whether an interval
+    /// is worth recording (a dequeue poll that found work, not the
+    /// thousands of idle polls). Reads no clock. Both sequence numbers are
+    /// taken at completion, so ordering versus RAII spans on the same
+    /// thread stays consistent as long as the interval does not overlap
+    /// one — which single-threaded phase structure guarantees.
+    #[inline(always)]
+    pub fn record(&self, phase: LedgerPhase, start: Instant, dur_ns: u64, args: SpanArgs) {
+        let Some(rec) = &self.inner else { return };
+        let begin_seq = rec.seq.get();
+        rec.seq.set(begin_seq + 1);
+        rec.commit(phase, start, dur_ns, begin_seq, args);
     }
 }
 
-/// An in-flight phase timing; completes (histogram + trace ring) on drop.
+/// An in-flight phase timing; completes (histogram, ledger and trace
+/// ring) on drop.
 #[must_use = "a span records its phase duration when dropped"]
 #[derive(Debug)]
 pub struct Span<'a>(Option<ActiveSpan<'a>>);
@@ -283,9 +247,8 @@ pub struct Span<'a>(Option<ActiveSpan<'a>>);
 #[derive(Debug)]
 struct ActiveSpan<'a> {
     rec: &'a RecorderInner,
-    phase: Phase,
+    phase: LedgerPhase,
     start: Instant,
-    begin_ns: u64,
     begin_seq: u64,
     args: SpanArgs,
 }
@@ -293,31 +256,23 @@ struct ActiveSpan<'a> {
 impl Span<'_> {
     /// Ends the span now and returns its duration in nanoseconds
     /// (0 when telemetry is disabled).
+    #[inline(always)]
     pub fn finish(mut self) -> u64 {
         self.close()
     }
 
+    #[inline(always)]
     fn close(&mut self) -> u64 {
-        let Some(a) = self.0.take() else {
-            return 0;
-        };
+        let Some(a) = &self.0 else { return 0 };
         let dur_ns = a.start.elapsed().as_nanos() as u64;
-        let end_seq = a.rec.seq.get();
-        a.rec.seq.set(end_seq + 1);
-        a.rec.hists[a.phase.index()].record(dur_ns);
-        a.rec.buf.push(SpanEvent {
-            phase: a.phase,
-            begin_ns: a.begin_ns,
-            dur_ns,
-            begin_seq: a.begin_seq,
-            end_seq,
-            args: a.args,
-        });
+        a.rec.commit(a.phase, a.start, dur_ns, a.begin_seq, a.args);
+        self.0 = None;
         dur_ns
     }
 }
 
 impl Drop for Span<'_> {
+    #[inline(always)]
     fn drop(&mut self) {
         self.close();
     }

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::JsonWriter;
-use crate::span::{Phase, SpanArgs};
+use crate::ledger::LedgerPhase;
+use crate::span::SpanArgs;
 
 /// Default per-thread ring capacity (completed spans).
 pub const DEFAULT_SPANS_PER_THREAD: usize = 16 * 1024;
@@ -73,7 +74,7 @@ impl FlowSink {
 /// One completed span, as stored in a thread ring.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanEvent {
-    pub phase: Phase,
+    pub phase: LedgerPhase,
     pub begin_ns: u64,
     pub dur_ns: u64,
     pub begin_seq: u64,
@@ -183,8 +184,13 @@ impl TraceCollector {
             for (_, is_begin, ev) in events {
                 w.begin_object();
                 w.key("ph").string(if is_begin { "B" } else { "E" });
-                w.key("name").string(ev.phase.trace_name());
-                w.key("cat").string(ev.phase.category());
+                w.key("name").string(ev.phase.name());
+                let cat = if ev.phase.is_flusher() {
+                    "flusher"
+                } else {
+                    "trainer"
+                };
+                w.key("cat").string(cat);
                 w.key("pid").number_u64(1);
                 w.key("tid").number_u64(buf.tid);
                 let ts_ns = if is_begin {
@@ -230,7 +236,7 @@ mod tests {
 
     fn event(begin_seq: u64, end_seq: u64, begin_ns: u64, dur_ns: u64) -> SpanEvent {
         SpanEvent {
-            phase: Phase::Compute,
+            phase: LedgerPhase::Compute,
             begin_ns,
             dur_ns,
             begin_seq,

@@ -1,11 +1,11 @@
 //! The disabled telemetry path must be *dark*: a `Telemetry::off()`
-//! handle's hot-path operations — ledger adds, span recording, flow
-//! events, stall filing — may allocate nothing and must cost at most a
+//! handle's hot-path operations — span recording (which also feeds the
+//! ledger), flow events, stall filing — may allocate nothing and must cost at most a
 //! few branches each. The engine calls these on every step of every
 //! trainer and flusher, so any hidden cost here taxes un-instrumented
 //! runs.
 
-use frugal_telemetry::{LaneKind, LedgerPhase, Phase, SpanArgs, StallRecord, Telemetry};
+use frugal_telemetry::{LedgerPhase, SpanArgs, StallRecord, Telemetry, ThreadRecorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
@@ -53,16 +53,11 @@ const ITERS: u64 = 100_000;
 
 /// One round of every disabled hot-path operation the engine performs
 /// per step. Returns a value the optimizer cannot discard.
-fn hot_ops(
-    telemetry: &Telemetry,
-    lane: &frugal_telemetry::LedgerLane,
-    rec: &frugal_telemetry::ThreadRecorder,
-    i: u64,
-) -> u64 {
-    let t = lane.start(); // None when disabled: no clock read
-    lane.add(i, LedgerPhase::Compute, 42);
-    lane.add_since(i, LedgerPhase::BarrierA, t);
-    lane.add_current(LedgerPhase::FlushApply, 7);
+fn hot_ops(telemetry: &Telemetry, rec: &ThreadRecorder, t: Instant, i: u64) -> u64 {
+    rec.set_step(i);
+    let span = rec.span(LedgerPhase::BarrierA); // no clock read when disabled
+    rec.record(LedgerPhase::Compute, t, 42, SpanArgs::EMPTY);
+    rec.record(LedgerPhase::FlushApply, t, 7, SpanArgs::EMPTY);
     telemetry.ledger_advance(i);
     rec.flow_start(i + 1);
     rec.flow_finish(i + 1);
@@ -75,7 +70,7 @@ fn hot_ops(
         blocking_key: Some(9),
         cleared_by: 2,
     });
-    lane.current_step() + t.map(|_| 1).unwrap_or(0)
+    span.finish()
 }
 
 #[test]
@@ -83,14 +78,14 @@ fn disabled_hot_path_never_allocates() {
     let telemetry = Telemetry::off();
     // Setup outside the measured region (the disabled constructors are
     // allocation-free too, but that is not what this test pins down).
-    let lane = telemetry.ledger_lane(LaneKind::Trainer);
     let rec = telemetry.recorder("dark");
-    assert!(!lane.is_enabled());
+    assert!(!rec.is_enabled());
+    let t = Instant::now();
 
     let (sink, allocs) = count_allocs(|| {
         let mut sink = 0u64;
         for i in 0..ITERS {
-            sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
+            sink = sink.wrapping_add(hot_ops(&telemetry, &rec, t, i));
         }
         sink
     });
@@ -101,8 +96,8 @@ fn disabled_hot_path_never_allocates() {
 #[test]
 fn disabled_hot_path_is_cheap() {
     let telemetry = Telemetry::off();
-    let lane = telemetry.ledger_lane(LaneKind::Trainer);
     let rec = telemetry.recorder("dark");
+    let t = Instant::now();
 
     // Warm up, then time. The bound is deliberately loose (100 ns per
     // full round of ~8 disabled calls, i.e. far under 1% of a ~500 µs
@@ -114,13 +109,13 @@ fn disabled_hot_path_is_cheap() {
     // the disabled path.
     let mut sink = 0u64;
     for i in 0..1_000 {
-        sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
+        sink = sink.wrapping_add(hot_ops(&telemetry, &rec, t, i));
     }
     let per_round = (0..5)
         .map(|_| {
             let t0 = Instant::now();
             for i in 0..ITERS {
-                sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
+                sink = sink.wrapping_add(hot_ops(&telemetry, &rec, t, i));
             }
             t0.elapsed().as_nanos() as u64 / ITERS
         })
@@ -138,10 +133,12 @@ fn disabled_span_recording_is_inert() {
     let telemetry = Telemetry::off();
     let rec = telemetry.recorder("dark");
     let t = Instant::now();
-    // record_completed returns the elapsed time it recorded; disabled
+    // A span's finish returns the elapsed time it recorded; disabled
     // recorders return 0 without touching the clock or any buffer.
-    let (ns, allocs) =
-        count_allocs(|| rec.record_completed(Phase::Compute, t, SpanArgs::one("rows", 3)));
+    let (ns, allocs) = count_allocs(|| {
+        rec.span_since(LedgerPhase::Compute, t, SpanArgs::one("rows", 3))
+            .finish()
+    });
     assert_eq!(ns, 0);
     assert_eq!(allocs, 0);
 }

@@ -13,6 +13,7 @@ use frugal::core::{
     OptimizerKind, PqKind, PullToTarget, ShardMap,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
+use frugal::telemetry::json::{self, Json};
 use frugal::telemetry::{LedgerPhase, Telemetry};
 
 const N_KEYS: u64 = 600;
@@ -79,7 +80,9 @@ fn elastic_8_6_8_matches_serial_bitwise() {
     ));
     runs.push((
         "elastic-checked".into(),
-        frugal_cfg(8).checked().with_membership(shrink_regrow_plan()),
+        frugal_cfg(8)
+            .checked()
+            .with_membership(shrink_regrow_plan()),
     ));
     for (name, cfg) in runs {
         let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
@@ -137,7 +140,8 @@ fn elastic_adagrad_matches_serial_bitwise() {
 
 /// The transition shows up in telemetry: the `membership.transition_ns`
 /// counter and the critical-path ledger's `epoch_transition` phase must
-/// both record the two epoch changes.
+/// both record the two epoch changes, on one run-thread recorder that the
+/// Chrome trace shows as a single thread with one span per transition.
 #[test]
 fn transitions_are_attributed_in_telemetry() {
     let telemetry = Telemetry::new();
@@ -161,6 +165,40 @@ fn transitions_are_attributed_in_telemetry() {
     assert_eq!(
         phase.total_ns, counter,
         "ledger attributes the same nanoseconds the counter records"
+    );
+    assert!(phase.total_ns > 0);
+
+    let doc = telemetry.chrome_trace_json().expect("telemetry on");
+    let root = json::parse(&doc).expect("valid trace JSON");
+    let events = root
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents");
+    let coordinators: Vec<f64> = events
+        .iter()
+        .filter(|ev| {
+            ev.get("ph").and_then(Json::as_str) == Some("M")
+                && ev
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str)
+                    == Some("coordinator")
+        })
+        .filter_map(|ev| ev.get("tid").and_then(Json::as_f64))
+        .collect();
+    assert_eq!(coordinators.len(), 1, "one run-thread recorder per run");
+    let transitions = events
+        .iter()
+        .filter(|ev| {
+            ev.get("ph").and_then(Json::as_str) == Some("B")
+                && ev.get("name").and_then(Json::as_str) == Some("epoch_transition")
+        })
+        .map(|ev| ev.get("tid").and_then(Json::as_f64))
+        .collect::<Vec<_>>();
+    assert_eq!(
+        transitions,
+        vec![Some(coordinators[0]); 2],
+        "both transitions traced on the coordinator thread"
     );
     // Static runs must not pay (or report) any transition cost.
     let quiet = FrugalEngine::new(frugal_cfg(8), N_KEYS, DIM);

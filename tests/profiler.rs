@@ -1,9 +1,10 @@
 //! Integration tests for the critical-path profiler: the per-step phase
 //! ledger must cover every step of a multi-GPU run with balanced,
-//! contiguous records; stall provenance must pair each trainer unblock to
-//! exactly one flusher apply via Chrome-trace flow events; and the FIFO
-//! ablation must actually measure its stalls (the regression the profiler
-//! was built to catch).
+//! contiguous records; spans and the ledger must book the same clock
+//! readings; stall provenance must pair each trainer unblock to exactly one
+//! flusher apply via Chrome-trace flow events; and the FIFO ablation must
+//! actually measure its stalls (the regression the profiler was built to
+//! catch).
 
 use frugal::core::{FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
 use frugal::data::{KeyDistribution, SyntheticTrace};
@@ -14,12 +15,12 @@ const N_KEYS: u64 = 5_000;
 const STEPS: u64 = 40;
 const N_GPUS: usize = 3;
 
-/// A 3-GPU run with two flushers. `throttle_us > 0` slows every flush
-/// batch down, forcing a backlog and therefore real trainer stalls.
-fn profiled_run(telemetry: &Telemetry, throttle_us: u64, fifo: bool) -> TrainReport {
-    let trace = SyntheticTrace::new(N_KEYS, KeyDistribution::Zipf(0.9), 64, N_GPUS, 17).unwrap();
+/// An `n_gpus`-GPU run with two flushers. `throttle_us > 0` slows every
+/// flush batch down, forcing a backlog and therefore real trainer stalls.
+fn profiled_run(telemetry: &Telemetry, n_gpus: usize, throttle_us: u64, fifo: bool) -> TrainReport {
+    let trace = SyntheticTrace::new(N_KEYS, KeyDistribution::Zipf(0.9), 64, n_gpus, 17).unwrap();
     let model = PullToTarget::new(8, 3);
-    let mut cfg = FrugalConfig::commodity(N_GPUS, STEPS)
+    let mut cfg = FrugalConfig::commodity(n_gpus, STEPS)
         .checked()
         .with_telemetry(telemetry.clone());
     if fifo {
@@ -35,7 +36,7 @@ fn profiled_run(telemetry: &Telemetry, throttle_us: u64, fifo: bool) -> TrainRep
 #[test]
 fn ledger_covers_every_step_balanced_and_contiguous() {
     let telemetry = Telemetry::new();
-    profiled_run(&telemetry, 0, false);
+    profiled_run(&telemetry, N_GPUS, 0, false);
     let ledger = telemetry.ledger_summary().expect("telemetry was on");
 
     // Every step of the run is retained (the window is far larger), and
@@ -81,10 +82,55 @@ fn ledger_covers_every_step_balanced_and_contiguous() {
     assert!(fa.total_ns > 0, "flushers applied batches");
 }
 
+/// Every phase interval is timed once, and that one duration feeds the
+/// phase's histogram, the trace and the ledger. With a single trainer the
+/// ledger's per-step max across trainers is that trainer's own time, so
+/// for every phase the histogram and the ledger hold exactly the same
+/// nanoseconds, and every phase the ledger charges shows up in the trace.
+#[test]
+fn spans_and_ledger_agree_exactly() {
+    let telemetry = Telemetry::new();
+    profiled_run(&telemetry, 1, 0, false);
+    let summary = telemetry.summary().expect("telemetry was on");
+    let ledger = summary.ledger.as_ref().expect("telemetry keeps a ledger");
+    assert_eq!(ledger.window, STEPS, "every step retained");
+    let doc = telemetry.chrome_trace_json().expect("telemetry was on");
+    let root = json::parse(&doc).expect("valid trace JSON");
+    let events = root
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents");
+    for phase in LedgerPhase::ALL {
+        let ledger_ns = ledger.phase(phase).expect("phase present").total_ns;
+        let span_ns = summary.histogram(phase.name()).map_or(0, |h| h.sum);
+        assert_eq!(
+            span_ns,
+            ledger_ns,
+            "{}: span histogram and ledger disagree",
+            phase.name()
+        );
+        if ledger_ns > 0 {
+            assert!(
+                events.iter().any(|ev| {
+                    ev.get("ph").and_then(Json::as_str) == Some("B")
+                        && ev.get("name").and_then(Json::as_str) == Some(phase.name())
+                }),
+                "{} has ledger time but no span in the trace",
+                phase.name()
+            );
+        }
+    }
+    let charged = |p: LedgerPhase| ledger.phase(p).map_or(0, |s| s.total_ns) > 0;
+    assert!(
+        charged(LedgerPhase::Registration) && charged(LedgerPhase::FlushApply),
+        "the run registered writes and flushed them"
+    );
+}
+
 #[test]
 fn flow_events_pair_each_unblock_to_one_apply() {
     let telemetry = Telemetry::new();
-    profiled_run(&telemetry, 200, false);
+    profiled_run(&telemetry, N_GPUS, 200, false);
 
     // Throttled flushers force a backlog: the stall log must carry
     // provenance (the batch that cleared the wait, and the queue state
@@ -150,7 +196,7 @@ fn fifo_ablation_measures_nonzero_stalls() {
     // `fifo_p95_stall_ns` at 0). A throttled run must therefore model
     // nonzero stalls.
     let telemetry = Telemetry::off();
-    let report = profiled_run(&telemetry, 100, true);
+    let report = profiled_run(&telemetry, N_GPUS, 100, true);
     assert!(
         report.stats.stall_percentile(0.95).as_nanos() > 0,
         "throttled FIFO run must record nonzero modeled stalls"

@@ -5,7 +5,7 @@
 use frugal::core::{FrugalConfig, FrugalEngine, PullToTarget};
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::telemetry::json::{self, Json};
-use frugal::telemetry::Telemetry;
+use frugal::telemetry::{LedgerPhase, Telemetry};
 
 /// One checked-mode 2-GPU run with telemetry attached.
 fn instrumented_run(telemetry: &Telemetry) -> frugal::core::TrainReport {
@@ -46,7 +46,9 @@ fn registry_counters_match_the_report() {
     assert_eq!(summary.counter("store.row_reads"), Some(misses));
 
     // Each of the 2 trainers timed every phase of every step.
-    let compute = summary.histogram("trainer.compute_ns").expect("compute");
+    let compute = summary
+        .histogram(LedgerPhase::Compute.name())
+        .expect("compute");
     assert_eq!(compute.count, 2 * 25);
 }
 
