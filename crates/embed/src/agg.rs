@@ -69,15 +69,15 @@ impl GradAggregator {
         self.data.clear();
     }
 
-    fn slot(&mut self, key: Key) -> (usize, bool) {
+    fn slot(&mut self, key: Key) -> usize {
         match self.index.get(&key) {
-            Some(&i) => (i, false),
+            Some(&i) => i,
             None => {
                 let i = self.order.len();
                 self.index.insert(key, i);
                 self.order.push(key);
                 self.data.resize(self.data.len() + self.dim, 0.0);
-                (i, true)
+                i
             }
         }
     }
@@ -89,8 +89,14 @@ impl GradAggregator {
     /// Panics if `grad.len() != dim`.
     pub fn add(&mut self, key: Key, grad: &[f32]) {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let (i, _) = self.slot(key);
-        kernels::add(&mut self.data[i * self.dim..(i + 1) * self.dim], grad);
+        kernels::add(self.row_mut(key), grad);
+    }
+
+    /// The accumulator of `key`, zero-filled on its first arrival, for
+    /// callers that add gradient terms into it directly.
+    pub fn row_mut(&mut self, key: Key) -> &mut [f32] {
+        let i = self.slot(key);
+        &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Adds `grad` scaled by `scale` to the accumulator of `key`.
@@ -100,12 +106,7 @@ impl GradAggregator {
     /// Panics if `grad.len() != dim`.
     pub fn add_scaled(&mut self, key: Key, grad: &[f32], scale: f32) {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let (i, _) = self.slot(key);
-        kernels::add_scaled(
-            &mut self.data[i * self.dim..(i + 1) * self.dim],
-            grad,
-            scale,
-        );
+        kernels::add_scaled(self.row_mut(key), grad, scale);
     }
 
     /// Number of distinct keys accumulated.
@@ -172,18 +173,10 @@ impl GradAggregator {
     pub fn merge_from(&mut self, other: &mut GradAggregator) {
         assert_eq!(self.dim, other.dim, "dim mismatch");
         for (i, &k) in other.order.iter().enumerate() {
-            let grad = &other.data[i * self.dim..(i + 1) * self.dim];
-            let j = match self.index.get(&k) {
-                Some(&j) => j,
-                None => {
-                    let j = self.order.len();
-                    self.index.insert(k, j);
-                    self.order.push(k);
-                    self.data.resize(self.data.len() + self.dim, 0.0);
-                    j
-                }
-            };
-            kernels::add(&mut self.data[j * self.dim..(j + 1) * self.dim], grad);
+            kernels::add(
+                self.row_mut(k),
+                &other.data[i * other.dim..(i + 1) * other.dim],
+            );
         }
         other.clear();
     }

@@ -14,13 +14,19 @@
 //! Scores follow a *distance* convention (lower = better match), so
 //! similarity scorers (DistMult/ComplEx/SimplE) are negated before the
 //! margin-ranking loss.
+//!
+//! A batch's `m` negatives are shared by all of its triples, so
+//! `forward_backward` scores every triple against one dim-major panel of
+//! them, and adds each (head, other) pair's gradient straight into the
+//! batch gradient. Both keep the floating-point operations, and their
+//! order, of scoring and differentiating each pair alone (DESIGN §18), so
+//! the tests compare bit for bit against a copy of that per-pair code.
 
 use frugal_core::{BatchGrads, EmbeddingModel};
 use frugal_data::{Key, KgTrace};
-use frugal_embed::initial_value;
+use frugal_embed::{initial_value, GradAggregator};
 use frugal_tensor::margin_ranking;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 
 /// Which triple scorer to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +63,6 @@ impl KgScorer {
     }
 }
 
-/// Per-GPU stashed relation gradients: `(relation key, gradient)`.
-type RelGrads = Vec<(Key, Vec<f32>)>;
-
 /// A knowledge-graph embedding model over a [`KgTrace`].
 #[derive(Debug)]
 pub struct KgModel {
@@ -68,7 +71,10 @@ pub struct KgModel {
     dim: usize,
     margin: f32,
     relations: RwLock<Vec<f32>>,
-    rel_stash: Mutex<Vec<Option<RelGrads>>>,
+    /// Per-GPU relation gradients of the last `forward_backward`, in
+    /// first-arrival order; `end_step` applies and clears them, keeping
+    /// their arenas for the next step.
+    rel_stash: Mutex<Vec<GradAggregator>>,
     rel_lr: f32,
     compute: bool,
 }
@@ -103,7 +109,7 @@ impl KgModel {
             dim,
             margin: 1.0,
             relations: RwLock::new(relations),
-            rel_stash: Mutex::new((0..n_gpus).map(|_| None).collect()),
+            rel_stash: Mutex::new((0..n_gpus).map(|_| GradAggregator::new(dim)).collect()),
             rel_lr: 0.05,
             trace,
             compute,
@@ -120,34 +126,104 @@ impl KgModel {
         &self.trace
     }
 
-    /// Distance scores of the `N` triples `(h, r, ts[n])` (lower = better).
+    /// Distance scores (lower = better) of the triple `(h, r, ·)` against
+    /// every tail of the dim-major `panel`, where `panel[i * m + j]` is
+    /// dimension `i` of tail `j` and `m = out.len()`. A single tail row is a
+    /// one-column panel, so the positive tail is scored by the same code.
     ///
-    /// Each score is one accumulator folding its terms in ascending index
-    /// order, exactly as scoring the triple alone would; batching tails
-    /// only interleaves the `N` independent dependency chains, so it cannot
-    /// change a bit. TransE and DistMult start from `-0.0`, the neutral
-    /// element `f32`'s `Sum` folds from.
-    fn scores<const N: usize>(&self, h: &[f32], r: &[f32], ts: [&[f32]; N]) -> [f32; N] {
-        let d = self.dim;
-        let k = d / 2;
-        match self.scorer {
-            KgScorer::TransE => fold_terms(d, -0.0, ts, |i, t| (h[i] + r[i] - t[i]).abs()),
-            KgScorer::DistMult => fold_terms(d, -0.0, ts, |i, t| h[i] * r[i] * t[i]).map(|s| -s),
-            KgScorer::ComplEx => fold_terms(k, 0.0, ts, |i, t| {
-                let (hr, hi) = (h[i], h[k + i]);
-                let (rr, ri) = (r[i], r[k + i]);
-                let (tr, ti) = (t[i], t[k + i]);
-                hr * rr * tr + hi * ri * tr + hr * ri * ti - hi * rr * ti
-            })
-            .map(|s| -s),
-            KgScorer::SimplE => fold_terms(k, 0.0, ts, |i, t| {
-                h[i] * r[i] * t[k + i] + t[i] * r[k + i] * h[k + i]
-            })
-            .map(|s| -0.5 * s),
+    /// Each score is one accumulator that starts where the per-triple sum
+    /// starts (`-0.0`, the seed of `f32`'s `Sum`, for TransE and DistMult;
+    /// `0.0` for ComplEx and SimplE) and adds the same rounded
+    /// per-dimension terms in ascending dimension order. Only the loop nest
+    /// differs: tails are innermost, so the loop vectorises across them,
+    /// and [`DIM_BLOCK`] dimensions are added per pass over the
+    /// accumulators.
+    fn score_panel(&self, h: &[f32], r: &[f32], panel: &[f32], out: &mut [f32]) {
+        let len = self.dim - self.pair_offset();
+        out.fill(match self.scorer {
+            KgScorer::TransE | KgScorer::DistMult => -0.0,
+            KgScorer::ComplEx | KgScorer::SimplE => 0.0,
+        });
+        let blocked = len - len % DIM_BLOCK;
+        for i in (0..blocked).step_by(DIM_BLOCK) {
+            self.add_terms::<DIM_BLOCK>(h, r, i, panel, out);
+        }
+        for i in blocked..len {
+            self.add_terms::<1>(h, r, i, panel, out);
+        }
+        for s in out {
+            *s = match self.scorer {
+                KgScorer::TransE => *s,
+                KgScorer::DistMult | KgScorer::ComplEx => -*s,
+                KgScorer::SimplE => -0.5 * *s,
+            };
         }
     }
 
-    /// Adds `coeff × ∂score/∂(h,r,t)` into the gradient buffers.
+    /// The offset of the dimension score term `i` pairs with: ComplEx and
+    /// SimplE have `dim/2` terms, pairing `i` with `i + dim/2`; TransE and
+    /// DistMult have `dim` terms, each reading `i` alone.
+    fn pair_offset(&self) -> usize {
+        match self.scorer {
+            KgScorer::TransE | KgScorer::DistMult => 0,
+            KgScorer::ComplEx | KgScorer::SimplE => self.dim / 2,
+        }
+    }
+
+    /// Adds the score terms of dimensions `i0..i0 + U` of `(h, r)` into
+    /// `acc[j]` for every tail `j` of `panel`, in ascending dimension
+    /// order. The head/relation products the per-triple expression
+    /// evaluates first are hoisted out of the tail loop; the rest keeps
+    /// its association.
+    fn add_terms<const U: usize>(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        i0: usize,
+        panel: &[f32],
+        acc: &mut [f32],
+    ) {
+        let m = acc.len();
+        let k = self.dim / 2;
+        let pair = self.pair_offset();
+        let t1: [&[f32]; U] = std::array::from_fn(|u| &panel[(i0 + u) * m..][..m]);
+        let t2: [&[f32]; U] = std::array::from_fn(|u| &panel[(pair + i0 + u) * m..][..m]);
+        match self.scorer {
+            KgScorer::TransE => {
+                let hr: [f32; U] = std::array::from_fn(|u| h[i0 + u] + r[i0 + u]);
+                fold(acc, t1, t2, |u, t, _| (hr[u] - t).abs());
+            }
+            KgScorer::DistMult => {
+                let hr: [f32; U] = std::array::from_fn(|u| h[i0 + u] * r[i0 + u]);
+                fold(acc, t1, t2, |u, t, _| hr[u] * t);
+            }
+            KgScorer::ComplEx => {
+                let p: [[f32; 4]; U] = std::array::from_fn(|u| {
+                    let i = i0 + u;
+                    let (hr, hi) = (h[i], h[k + i]);
+                    let (rr, ri) = (r[i], r[k + i]);
+                    [hr * rr, hi * ri, hr * ri, hi * rr]
+                });
+                fold(acc, t1, t2, |u, tr, ti| {
+                    let [a, b, c, e] = p[u];
+                    a * tr + b * tr + c * ti - e * ti
+                });
+            }
+            KgScorer::SimplE => {
+                // The second term is `(t₁ * r₂) * h₂`: only `h₁ * r₁` hoists.
+                let p: [[f32; 3]; U] = std::array::from_fn(|u| {
+                    let i = i0 + u;
+                    [h[i] * r[i], r[k + i], h[k + i]]
+                });
+                fold(acc, t1, t2, |u, t1, t2| {
+                    let [hr, r2, h2] = p[u];
+                    hr * t2 + t1 * r2 * h2
+                });
+            }
+        }
+    }
+
+    /// Adds `coeff × ∂score/∂(h,r,t)` into the gradient rows.
     #[allow(clippy::too_many_arguments)]
     fn accumulate(
         &self,
@@ -161,6 +237,10 @@ impl KgModel {
     ) {
         let d = self.dim;
         let k = d / 2;
+        // Re-sliced to `d` so the indexing below compiles without bounds
+        // checks and vectorises.
+        let (h, r, t) = (&h[..d], &r[..d], &t[..d]);
+        let (gh, gr, gt) = (&mut gh[..d], &mut gr[..d], &mut gt[..d]);
         match self.scorer {
             KgScorer::TransE => {
                 for i in 0..d {
@@ -204,24 +284,39 @@ impl KgModel {
     }
 }
 
-/// Negatives scored together by [`KgModel::scores`].
-const SCORE_LANES: usize = 8;
+/// Dimensions whose score terms are added per pass over a triple's
+/// accumulators: each accumulator is loaded and stored once per block
+/// instead of once per dimension.
+const DIM_BLOCK: usize = 8;
 
-/// `[init + Σᵢ term(i, ts[n])]` for each `n`, every sum taken in ascending
-/// `i` with its own accumulator.
-fn fold_terms<const N: usize>(
-    len: usize,
-    init: f32,
-    ts: [&[f32]; N],
-    term: impl Fn(usize, &[f32]) -> f32,
-) -> [f32; N] {
-    let mut acc = [init; N];
-    for i in 0..len {
-        for (a, t) in acc.iter_mut().zip(ts) {
-            *a += term(i, t);
+/// `acc[j] += term(u, t1[u][j], t2[u][j])` for `u` in `0..U`, in that
+/// order, for every `j`.
+#[inline(always)]
+fn fold<const U: usize>(
+    acc: &mut [f32],
+    t1: [&[f32]; U],
+    t2: [&[f32]; U],
+    term: impl Fn(usize, f32, f32) -> f32,
+) {
+    for (j, a) in acc.iter_mut().enumerate() {
+        let mut x = *a;
+        for u in 0..U {
+            x += term(u, t1[u][j], t2[u][j]);
+        }
+        *a = x;
+    }
+}
+
+/// The `m × d` row-major `rows` as a `d × m` dim-major panel.
+fn transpose(rows: &[f32], d: usize) -> Vec<f32> {
+    let m = rows.len() / d;
+    let mut panel = vec![0.0f32; rows.len()];
+    for (j, row) in rows.chunks_exact(d).enumerate() {
+        for (i, &v) in row.iter().enumerate() {
+            panel[i * m + j] = v;
         }
     }
-    acc
+    panel
 }
 
 impl EmbeddingModel for KgModel {
@@ -243,75 +338,53 @@ impl EmbeddingModel for KgModel {
         let m = batch.negatives.len();
         assert_eq!(keys.len(), 2 * b + m, "key layout mismatch");
 
+        // Every triple of the batch shares the same m negatives.
+        let panel = transpose(&rows[2 * b * d..], d);
+        let row = |n: usize| &rows[n * d..(n + 1) * d];
         let rel_table = self.relations.read();
+        let rel_row = |i: usize| {
+            let rel = batch.relations[i] as usize;
+            &rel_table[rel * d..(rel + 1) * d]
+        };
+        // Taken out of the stash (an empty aggregator does not allocate) so
+        // the lock is not held while computing.
+        let mut rel_grads =
+            std::mem::replace(&mut self.rel_stash.lock()[gpu], GradAggregator::new(d));
+        rel_grads.clear();
         let mut emb_grads = vec![0.0f32; rows.len()];
-        let mut rel_grads: HashMap<Key, Vec<f32>> = HashMap::new();
-        let mut rel_order: Vec<Key> = Vec::new();
+        // Heads are rows 0..b; positive tails and negatives follow.
+        let (head_grads, other_grads) = emb_grads.split_at_mut(b * d);
+        let mut neg_scores = vec![0.0f32; m];
+        let mut coeffs = vec![0.0f32; m];
         let mut loss_sum = 0.0f32;
-        // Scratch for one (head, other) gradient pair: head/tail/negative
-        // slices of emb_grads alias the same Vec, so direct splits won't
-        // do. Zeroed before every use, so each pair sums from 0.0 as a
-        // fresh buffer would.
-        let mut g_head = vec![0.0f32; d];
-        let mut g_other = vec![0.0f32; d];
-        let mut negs = vec![0.0f32; m];
-        let neg_row = |j: usize| &rows[(2 * b + j) * d..(2 * b + j + 1) * d];
 
         for i in 0..b {
-            let h = &rows[i * d..(i + 1) * d];
-            let t = &rows[(b + i) * d..(b + i + 1) * d];
-            let rel = batch.relations[i];
-            let r = &rel_table[rel as usize * d..(rel as usize + 1) * d];
-            let [pos] = self.scores(h, r, [t]);
-            for j in (0..m).step_by(SCORE_LANES) {
-                if j + SCORE_LANES <= m {
-                    let ts: [&[f32]; SCORE_LANES] = std::array::from_fn(|n| neg_row(j + n));
-                    negs[j..j + SCORE_LANES].copy_from_slice(&self.scores(h, r, ts));
-                } else {
-                    for (jj, s) in negs.iter_mut().enumerate().skip(j) {
-                        [*s] = self.scores(h, r, [neg_row(jj)]);
-                    }
-                }
-            }
-            let (loss, d_pos, d_negs) = margin_ranking(pos, &negs, self.margin);
+            let (h, r) = (row(i), rel_row(i));
+            let mut pos = 0.0;
+            self.score_panel(h, r, row(b + i), std::slice::from_mut(&mut pos));
+            self.score_panel(h, r, &panel, &mut neg_scores);
+            let (loss, d_pos) = margin_ranking(pos, &neg_scores, self.margin, &mut coeffs);
             loss_sum += loss;
 
-            let gr = rel_grads.entry(rel).or_insert_with(|| {
-                rel_order.push(rel);
-                vec![0.0; d]
-            });
             // The positive tail first, then every negative, each adding its
-            // (head, other) gradient pair into emb_grads.
+            // gradient terms straight into the head, other and relation
+            // rows. Since `emb_grads` starts at +0.0 and so never holds
+            // -0.0, `e ± v` rounds exactly like `e + (0.0 ± v)`, i.e. like
+            // summing each pair into its own zeroed row first.
+            let gh = &mut head_grads[i * d..(i + 1) * d];
+            let gr = rel_grads.row_mut(batch.relations[i]);
             let pairs = std::iter::once((b + i, d_pos))
-                .chain(d_negs.iter().enumerate().map(|(j, &dn)| (2 * b + j, dn)));
+                .chain(coeffs.iter().enumerate().map(|(j, &c)| (2 * b + j, c)));
             for (other, coeff) in pairs {
                 if coeff == 0.0 {
                     continue;
                 }
-                g_head.fill(0.0);
-                g_other.fill(0.0);
-                let o = &rows[other * d..(other + 1) * d];
-                self.accumulate(h, r, o, coeff, &mut g_head, gr, &mut g_other);
-                for (e, &g) in emb_grads[i * d..(i + 1) * d].iter_mut().zip(&g_head) {
-                    *e += g;
-                }
-                for (e, &g) in emb_grads[other * d..(other + 1) * d]
-                    .iter_mut()
-                    .zip(&g_other)
-                {
-                    *e += g;
-                }
+                let go = &mut other_grads[(other - b) * d..(other - b + 1) * d];
+                self.accumulate(h, r, row(other), coeff, gh, gr, go);
             }
         }
         drop(rel_table);
-        let rel_list: Vec<(Key, Vec<f32>)> = rel_order
-            .into_iter()
-            .map(|rel| {
-                let g = rel_grads.remove(&rel).expect("ordered rel present");
-                (rel, g)
-            })
-            .collect();
-        self.rel_stash.lock()[gpu] = Some(rel_list);
+        self.rel_stash.lock()[gpu] = rel_grads;
 
         BatchGrads {
             emb_grads,
@@ -326,15 +399,14 @@ impl EmbeddingModel for KgModel {
         let mut stash = self.rel_stash.lock();
         let mut rel_table = self.relations.write();
         let d = self.dim;
-        for slot in stash.iter_mut() {
-            if let Some(list) = slot.take() {
-                for (rel, grad) in list {
-                    let row = &mut rel_table[rel as usize * d..(rel as usize + 1) * d];
-                    for (p, &g) in row.iter_mut().zip(&grad) {
-                        *p -= self.rel_lr * g;
-                    }
+        for grads in stash.iter_mut() {
+            for (rel, grad) in grads.entries() {
+                let row = &mut rel_table[rel as usize * d..(rel as usize + 1) * d];
+                for (p, &g) in row.iter_mut().zip(grad) {
+                    *p -= self.rel_lr * g;
                 }
             }
+            grads.clear();
         }
     }
 
@@ -463,16 +535,20 @@ mod tests {
         spec.embedding_dim = 6;
         spec.neg_sample_size = 4;
         let trace = KgTrace::new(spec, 8, 2, 5).unwrap();
-        let seq = KgModel::new(KgScorer::TransE, trace.clone(), 3, true);
-        let par = KgModel::new(KgScorer::TransE, trace.clone(), 3, true);
         let keys = |s, g| trace.step_batch(s, g).entity_keys().collect();
-        assert_eq!(
-            two_gpu_steps(&seq, keys, 4, false),
-            two_gpu_steps(&par, keys, 4, true)
-        );
         let bits =
             |m: &KgModel| -> Vec<u32> { m.relations.read().iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&seq), bits(&par));
+        for scorer in KgScorer::all() {
+            let seq = KgModel::new(scorer, trace.clone(), 3, true);
+            let par = KgModel::new(scorer, trace.clone(), 3, true);
+            assert_eq!(
+                two_gpu_steps(&seq, keys, 4, false),
+                two_gpu_steps(&par, keys, 4, true),
+                "{}",
+                scorer.name()
+            );
+            assert_eq!(bits(&seq), bits(&par), "{}", scorer.name());
+        }
     }
 
     #[test]
@@ -509,41 +585,188 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_scores_match_per_triple_scores_bitwise() {
-        let d = 6;
-        // Values with signed zeros mixed in, so zero-sum cases show.
-        let val = |i: usize| match i % 7 {
+    /// Values with signed zeros mixed in, so zero-sum cases show.
+    fn val(i: usize) -> f32 {
+        match i % 7 {
             0 => 0.0,
             1 => -0.0,
             _ => ((i * 37 + 11) % 17) as f32 / 17.0 - 0.5,
-        };
-        let tails: Vec<Vec<f32>> = (0..SCORE_LANES)
-            .map(|n| (0..d).map(|i| val(i * (n + 2) + n)).collect())
-            .chain([vec![0.0; d], vec![-0.0; d]])
-            .collect();
-        // A mixed (h, r), and an all-positive one whose products with the
-        // `-0.0` tail are all `-0.0`, which pins each sum's starting value.
-        let heads_rels = [
-            (
-                (0..d).map(val).collect(),
-                (0..d).map(|i| val(i + 3)).collect(),
-            ),
-            (vec![0.5f32; d], vec![0.25f32; d]),
-        ];
-        for scorer in KgScorer::all() {
-            let m = KgModel::new(scorer, small_trace(d as u32), 3, true);
-            for (h, r) in &heads_rels {
-                let want: Vec<u32> = tails
-                    .iter()
-                    .map(|t| reference_score(scorer, h, r, t).to_bits())
-                    .collect();
-                let lanes: [&[f32]; SCORE_LANES] = std::array::from_fn(|n| &tails[n][..]);
-                let batched = m.scores(h, r, lanes).map(f32::to_bits);
-                assert_eq!(batched[..], want[..SCORE_LANES], "{}", scorer.name());
-                for (t, &w) in tails.iter().zip(&want) {
-                    assert_eq!(m.scores(h, r, [t])[0].to_bits(), w, "{}", scorer.name());
+        }
+    }
+
+    #[test]
+    fn panel_scores_match_per_triple_scores_bitwise() {
+        // 13 tails: not a multiple of any SIMD width. Dimension 18 gives
+        // the half-split scorers one full DIM_BLOCK and a remainder.
+        for d in [6, 18] {
+            let tails: Vec<Vec<f32>> = (0..11)
+                .map(|n| (0..d).map(|i| val(i * (n + 2) + n)).collect())
+                .chain([vec![0.0; d], vec![-0.0; d]])
+                .collect();
+            let panel = transpose(&tails.concat(), d);
+            // A mixed (h, r), and an all-positive one whose products with
+            // the `-0.0` tail are all `-0.0`, which pins each sum's seed.
+            let heads_rels = [
+                (
+                    (0..d).map(val).collect(),
+                    (0..d).map(|i| val(i + 3)).collect(),
+                ),
+                (vec![0.5f32; d], vec![0.25f32; d]),
+            ];
+            for scorer in KgScorer::all() {
+                let m = KgModel::new(scorer, small_trace(d as u32), 3, true);
+                for (h, r) in &heads_rels {
+                    let want: Vec<u32> = tails
+                        .iter()
+                        .map(|t| reference_score(scorer, h, r, t).to_bits())
+                        .collect();
+                    let mut got = vec![f32::NAN; tails.len()];
+                    m.score_panel(h, r, &panel, &mut got);
+                    let got: Vec<u32> = got.iter().map(|s| s.to_bits()).collect();
+                    assert_eq!(got, want, "{} d={d}", scorer.name());
+                    // A single row is a one-column panel.
+                    for (t, &w) in tails.iter().zip(&want) {
+                        let mut one = f32::NAN;
+                        m.score_panel(h, r, t, std::slice::from_mut(&mut one));
+                        assert_eq!(one.to_bits(), w, "{} d={d}", scorer.name());
+                    }
                 }
+            }
+        }
+    }
+
+    /// What [`reference_forward_backward`] computes.
+    struct Reference {
+        emb_grads: Vec<f32>,
+        loss: f32,
+        /// Relation gradients in first-arrival order.
+        rel_grads: Vec<(Key, Vec<f32>)>,
+        /// Pairs skipped for a zero margin coefficient.
+        skipped: usize,
+    }
+
+    /// The per-pair algorithm the panel kernel replaced: every score from
+    /// [`reference_score`], the margin loss inline, and each (head, other)
+    /// pair's gradient accumulated into freshly zeroed scratch rows that
+    /// are then added into the batch gradient.
+    fn reference_forward_backward(m: &KgModel, gpu: usize, step: u64, rows: &[f32]) -> Reference {
+        let d = m.dim;
+        let batch = m.trace.step_batch(step, gpu);
+        let (b, n_neg) = (batch.n_triples(), batch.negatives.len());
+        let rel_table = m.relations.read();
+        let row = |n: usize| &rows[n * d..(n + 1) * d];
+        let mut emb_grads = vec![0.0f32; rows.len()];
+        let mut rel_grads: Vec<(Key, Vec<f32>)> = Vec::new();
+        let mut loss_sum = 0.0f32;
+        let mut skipped = 0;
+        for i in 0..b {
+            let (h, rel) = (row(i), batch.relations[i]);
+            let r = &rel_table[rel as usize * d..(rel as usize + 1) * d];
+            let pos = reference_score(m.scorer, h, r, row(b + i));
+            let n = n_neg as f32;
+            let (mut loss, mut d_pos, mut d_negs) = (0.0f32, 0.0f32, Vec::new());
+            for j in 0..n_neg {
+                let margin = m.margin + pos - reference_score(m.scorer, h, r, row(2 * b + j));
+                if margin > 0.0 {
+                    loss += margin;
+                    d_pos += 1.0;
+                    d_negs.push(-1.0 / n);
+                } else {
+                    d_negs.push(0.0);
+                }
+            }
+            loss_sum += loss / n;
+            let slot = match rel_grads.iter().position(|&(k, _)| k == rel) {
+                Some(slot) => slot,
+                None => {
+                    rel_grads.push((rel, vec![0.0; d]));
+                    rel_grads.len() - 1
+                }
+            };
+            let pairs = std::iter::once((b + i, d_pos / n))
+                .chain(d_negs.iter().enumerate().map(|(j, &c)| (2 * b + j, c)));
+            for (other, coeff) in pairs {
+                if coeff == 0.0 {
+                    skipped += 1;
+                    continue;
+                }
+                let (mut g_head, mut g_other) = (vec![0.0f32; d], vec![0.0f32; d]);
+                let gr = &mut rel_grads[slot].1;
+                m.accumulate(h, r, row(other), coeff, &mut g_head, gr, &mut g_other);
+                for (e, g) in emb_grads[i * d..(i + 1) * d].iter_mut().zip(&g_head) {
+                    *e += g;
+                }
+                for (e, g) in emb_grads[other * d..(other + 1) * d]
+                    .iter_mut()
+                    .zip(&g_other)
+                {
+                    *e += g;
+                }
+            }
+        }
+        Reference {
+            emb_grads,
+            loss: loss_sum / b as f32,
+            rel_grads,
+            skipped,
+        }
+    }
+
+    #[test]
+    fn forward_backward_matches_per_pair_reference_bitwise() {
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for scorer in KgScorer::all() {
+            let dims: &[u32] = match scorer {
+                KgScorer::TransE | KgScorer::DistMult => &[6, 7, 17, 18],
+                KgScorer::ComplEx | KgScorer::SimplE => &[6, 18],
+            };
+            for &dim in dims {
+                let mut spec = KgDatasetSpec::fb15k().scaled_to_entities(200);
+                spec.embedding_dim = dim;
+                spec.neg_sample_size = 13;
+                let trace = KgTrace::new(spec, 11, 2, 9).unwrap();
+                let m = KgModel::new(scorer, trace.clone(), 3, true);
+                let d = dim as usize;
+                // Signed zeros in the relation table too.
+                for (n, v) in m.relations.write().iter_mut().enumerate() {
+                    if n % 5 < 2 {
+                        *v = val(n);
+                    }
+                }
+                let mut skipped = 0;
+                for step in 0..3 {
+                    for gpu in 0..2 {
+                        let batch = trace.step_batch(step, gpu);
+                        let keys: Vec<Key> = batch.entity_keys().collect();
+                        let b = batch.n_triples();
+                        // Wide enough that some margins hold and some do not.
+                        let mut rows: Vec<f32> = (0..keys.len() * d)
+                            .map(|i| 4.0 * val(i * 3 + step as usize + gpu))
+                            .collect();
+                        // Negative 3 equals the first positive tail.
+                        rows.copy_within(b * d..(b + 1) * d, (2 * b + 3) * d);
+                        let want = reference_forward_backward(&m, gpu, step, &rows);
+                        skipped += want.skipped;
+                        assert!(want.emb_grads.iter().any(|&g| g != 0.0));
+                        let got = m.forward_backward(gpu, step, &keys, &rows);
+                        let what = format!("{} dim {dim} step {step} gpu {gpu}", scorer.name());
+                        assert_eq!(bits(&got.emb_grads), bits(&want.emb_grads), "{what}");
+                        assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{what}");
+                        let stash = m.rel_stash.lock();
+                        let got_rel: Vec<(Key, Vec<u32>)> =
+                            stash[gpu].entries().map(|(k, g)| (k, bits(g))).collect();
+                        let want_rel: Vec<(Key, Vec<u32>)> =
+                            want.rel_grads.iter().map(|(k, g)| (*k, bits(g))).collect();
+                        assert_eq!(got_rel, want_rel, "{what}");
+                    }
+                    m.end_step(step);
+                }
+                // Both kinds of pair occurred: some skipped, most added.
+                assert!(
+                    skipped > 0,
+                    "{} dim {dim}: no zero coefficient",
+                    scorer.name()
+                );
             }
         }
     }

@@ -302,9 +302,9 @@ impl LockFreeSet {
         false
     }
 
-    /// Atomically removes and returns up to `max` keys, appending them to
-    /// `out`. Returns how many were taken.
-    pub fn take_any(&self, max: usize, out: &mut Vec<u64>) -> usize {
+    /// Atomically removes up to `max` keys, handing each to `take` as it
+    /// is removed. Returns how many were taken.
+    pub fn take_any(&self, max: usize, mut take: impl FnMut(u64)) -> usize {
         if max == 0 || self.is_empty() {
             return 0;
         }
@@ -328,7 +328,7 @@ impl LockFreeSet {
                         sched_point!("lfs.take.tombstoned");
                         seg.occupied.fetch_sub(1, Ordering::AcqRel);
                         self.len.fetch_sub(1, Ordering::AcqRel);
-                        out.push(decode(cur));
+                        take(decode(cur));
                         taken += 1;
                     }
                 }
@@ -502,11 +502,11 @@ mod tests {
             s.insert(k);
         }
         let mut out = Vec::new();
-        let got = s.take_any(30, &mut out);
+        let got = s.take_any(30, |k| out.push(k));
         assert_eq!(got, 30);
         assert_eq!(out.len(), 30);
         assert_eq!(s.len(), 70);
-        let got = s.take_any(1_000, &mut out);
+        let got = s.take_any(1_000, |k| out.push(k));
         assert_eq!(got, 70);
         let mut all = out.clone();
         all.sort_unstable();
@@ -519,7 +519,7 @@ mod tests {
         let s = LockFreeSet::new();
         s.insert(1);
         let mut out = Vec::new();
-        assert_eq!(s.take_any(0, &mut out), 0);
+        assert_eq!(s.take_any(0, |k| out.push(k)), 0);
         assert!(out.is_empty());
     }
 
@@ -574,7 +574,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut out = Vec::new();
                     loop {
-                        if s.take_any(64, &mut out) == 0 && s.is_empty() {
+                        if s.take_any(64, |k| out.push(k)) == 0 && s.is_empty() {
                             break;
                         }
                     }

@@ -246,7 +246,6 @@ impl TwoLevelPq {
         }
         let _t = self.probes.dequeue.timer();
         let mut taken = 0;
-        let mut keys = Vec::new();
         let seen = self.lower.load(Ordering::Acquire);
         let end = self.scan_end();
         let mut first_live: Option<u64> = None;
@@ -259,13 +258,9 @@ impl TwoLevelPq {
                     g.fetch_min(p, Ordering::AcqRel);
                     sched_point!("pq.dequeue.guard_published");
                 }
-                keys.clear();
-                let got = bucket.take_any(max - taken, &mut keys);
+                let got = bucket.take_any(max - taken, |k| out.push((k, p)));
                 if got > 0 && first_live.is_none() {
                     first_live = Some(p);
-                }
-                for &k in &keys {
-                    out.push((k, p));
                 }
                 taken += got;
                 // The bucket may still hold entries we could not take this
@@ -293,12 +288,9 @@ impl TwoLevelPq {
                 g.fetch_min(DEFERRED_CLAIM, Ordering::AcqRel);
                 sched_point!("pq.dequeue.guard_published");
             }
-            keys.clear();
-            let got = self.infinity_bucket().take_any(max - taken, &mut keys);
-            for &k in &keys {
-                out.push((k, INFINITE));
-            }
-            taken += got;
+            taken += self
+                .infinity_bucket()
+                .take_any(max - taken, |k| out.push((k, INFINITE)));
         }
         if taken > 0 {
             self.len.fetch_sub(taken, Ordering::AcqRel);

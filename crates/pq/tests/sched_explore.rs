@@ -353,7 +353,7 @@ fn lfs_concurrent_traffic_is_linearizable_to_a_set() {
             let taken = Arc::clone(&taken);
             sim.thread("taker", move || {
                 let mut out = Vec::new();
-                set.take_any(2, &mut out);
+                set.take_any(2, |k| out.push(k));
                 taken.lock().extend(out);
             });
         }

@@ -40,7 +40,7 @@ proptest! {
                 }
                 Op::TakeAny(max) => {
                     let mut out = Vec::new();
-                    let got = set.take_any(max, &mut out);
+                    let got = set.take_any(max, |k| out.push(k));
                     prop_assert!(got <= max);
                     for k in out {
                         prop_assert!(model.remove(&k), "took absent key {}", k);

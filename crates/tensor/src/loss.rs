@@ -50,28 +50,47 @@ pub fn bce_with_logits(logits: &[f32], labels: &[f32]) -> (f32, Vec<f32>) {
 /// `mean_j max(0, margin + s_pos - s_neg_j)` for *distance-like* scores
 /// where smaller is better (TransE convention).
 ///
-/// Returns `(loss, d_pos, d_negs)`.
+/// Returns `(loss, d_pos)` and writes `d_negs[j]`, the gradient w.r.t.
+/// `neg_scores[j]`: `-1 / n` where the margin is violated, `0.0` where it
+/// holds. The caller owns `d_negs`, so a model scoring many triples per
+/// batch reuses one buffer instead of allocating one per triple.
 ///
 /// # Panics
 ///
-/// Panics if `neg_scores` is empty.
-pub fn margin_ranking(pos_score: f32, neg_scores: &[f32], margin: f32) -> (f32, f32, Vec<f32>) {
+/// Panics if `neg_scores` is empty or `d_negs` has a different length.
+///
+/// # Examples
+///
+/// ```
+/// use frugal_tensor::margin_ranking;
+///
+/// let mut d_negs = [0.0; 2];
+/// let (loss, d_pos) = margin_ranking(5.0, &[1.0, 10.0], 1.0, &mut d_negs);
+/// assert_eq!((loss, d_pos), (2.5, 0.5));
+/// assert_eq!(d_negs, [-0.5, 0.0]);
+/// ```
+pub fn margin_ranking(
+    pos_score: f32,
+    neg_scores: &[f32],
+    margin: f32,
+    d_negs: &mut [f32],
+) -> (f32, f32) {
     assert!(!neg_scores.is_empty(), "need at least one negative sample");
+    assert_eq!(neg_scores.len(), d_negs.len(), "length mismatch");
     let n = neg_scores.len() as f32;
     let mut loss = 0.0;
     let mut d_pos = 0.0;
-    let mut d_negs = Vec::with_capacity(neg_scores.len());
-    for &s_neg in neg_scores {
+    for (&s_neg, d_neg) in neg_scores.iter().zip(d_negs) {
         let m = margin + pos_score - s_neg;
         if m > 0.0 {
             loss += m;
             d_pos += 1.0;
-            d_negs.push(-1.0 / n);
+            *d_neg = -1.0 / n;
         } else {
-            d_negs.push(0.0);
+            *d_neg = 0.0;
         }
     }
-    (loss / n, d_pos / n, d_negs)
+    (loss / n, d_pos / n)
 }
 
 #[cfg(test)]
@@ -133,7 +152,8 @@ mod tests {
     #[test]
     fn margin_loss_zero_when_well_separated() {
         // Positive distance 0.1, negatives at distance 10: margin satisfied.
-        let (loss, d_pos, d_negs) = margin_ranking(0.1, &[10.0, 12.0], 1.0);
+        let mut d_negs = [f32::NAN; 2];
+        let (loss, d_pos) = margin_ranking(0.1, &[10.0, 12.0], 1.0, &mut d_negs);
         assert_eq!(loss, 0.0);
         assert_eq!(d_pos, 0.0);
         assert!(d_negs.iter().all(|&d| d == 0.0));
@@ -141,20 +161,22 @@ mod tests {
 
     #[test]
     fn margin_loss_active_when_violated() {
-        let (loss, d_pos, d_negs) = margin_ranking(5.0, &[1.0, 2.0], 1.0);
+        let mut d_negs = [0.0; 2];
+        let (loss, d_pos) = margin_ranking(5.0, &[1.0, 2.0], 1.0, &mut d_negs);
         // Both negatives violate: (1+5-1) + (1+5-2) = 9, mean 4.5.
         assert!((loss - 4.5).abs() < 1e-6);
         assert!((d_pos - 1.0).abs() < 1e-6);
-        assert_eq!(d_negs, vec![-0.5, -0.5]);
+        assert_eq!(d_negs, [-0.5, -0.5]);
     }
 
     #[test]
     fn margin_gradient_matches_finite_difference() {
         let pos = 1.4f32;
         let negs = [1.0f32, 3.0, 1.8];
-        let (_, d_pos, d_negs) = margin_ranking(pos, &negs, 1.0);
+        let mut d_negs = [0.0; 3];
+        let (_, d_pos) = margin_ranking(pos, &negs, 1.0, &mut d_negs);
         let eps = 1e-3;
-        let f = |p: f32, ns: &[f32]| margin_ranking(p, ns, 1.0).0;
+        let f = |p: f32, ns: &[f32]| margin_ranking(p, ns, 1.0, &mut [0.0; 3]).0;
         let numeric_pos = (f(pos + eps, &negs) - f(pos - eps, &negs)) / (2.0 * eps);
         assert!((d_pos - numeric_pos).abs() < 1e-3);
         for i in 0..3 {
